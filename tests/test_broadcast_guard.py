@@ -158,6 +158,34 @@ class TestAugmentByKey:
         else:
             assert len(a) == 6  # everything kept, fill applied
 
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_null_keys_route_parity(self, ray_session, how):
+        # a NULL fact key matches nothing on every route, not even a
+        # NULL dimension key (the index_in probe used to match it)
+        from vald.runtime import augment_by_key
+
+        dim = ray.data.from_arrow(
+            pa.table(
+                {
+                    "pk": pa.array([1, 2, 7, None], type=pa.int64()),
+                    "nat": pa.array([10, 20, 70, 99], type=pa.int32()),
+                }
+            )
+        )
+        routes = {
+            "dense_lut": {},
+            "index_in": {"dense_lut_cap": 0},
+            "join": {"max_broadcast_keys": 0},
+        }
+        outs = {
+            name: _rows(augment_by_key(self._fact(), "k", dim, "pk", how=how, **kw))
+            for name, kw in routes.items()
+        }
+        assert outs["dense_lut"] == outs["index_in"] == outs["join"]
+        df = augment_by_key(self._fact(), "k", dim, "pk", how=how).to_pandas()
+        assert 99 not in df["nat"].tolist()
+        assert len(df) == (4 if how == "inner" else 6)
+
     def test_sparse_keys_index_in_path(self, ray_session):
         from vald.runtime import augment_by_key
 

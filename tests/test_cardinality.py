@@ -111,6 +111,78 @@ class TestCardinalitySpec:
         rows = v.filter(pc.equal(v["constraint_id"], "docs.src.cardinality"))
         assert int(pc.sum(rows["n_violations"]).as_py()) == 0
 
+    @pytest.mark.parametrize("num_buckets", [1, 7, 256])
+    @pytest.mark.parametrize("blocks", [1, 3, 7])
+    def test_fused_parity(self, ray_session, blocks, num_buckets):
+        """Grouped and whole-table cardinality through the shared row
+        pass and exchange: per-partition verdicts (dominant partition of
+        first-writer credits) and exemplars equal a pandas reference at
+        any block / bucket count; NULL groups and values are unchecked."""
+        import ray.data
+
+        rng = np.random.default_rng(5)
+        n = 400
+        lang = rng.choice(
+            ["a", "b", "c", "d", "e", "f"], n, p=[0.4, 0.3, 0.15, 0.1, 0.03, 0.02]
+        ).astype(object)
+        src = rng.integers(0, 12, n).astype(str).astype(object)
+        lang[rng.random(n) < 0.05] = None
+        src[rng.random(n) < 0.05] = None
+        t = pa.table(
+            {
+                "lang": pa.array(lang.tolist()),
+                "src": pa.array(src.tolist()),
+                "part": pa.array(rng.integers(0, 8, n), type=pa.int64()),
+            }
+        )
+        checks = [
+            {"kind": "cardinality", "column": "src", "group_by": "lang",
+             "min_distinct": 10, "num_buckets": num_buckets},
+            {"kind": "cardinality", "column": "src", "max_distinct": 11,
+             "num_buckets": num_buckets, "constraint_id": "docs.src.whole"},
+        ]
+        spec = compile_table_spec(
+            {"table": "docs", "partition_by": "part", "num_partitions": 4,
+             "columns": {}, "checks": checks}
+        )
+        res = P.validate(ray.data.from_arrow(t).repartition(blocks), spec)
+        v = res.verdicts_table().to_pandas()
+        x = res.violations_table().to_pandas()
+        df = t.to_pandas()
+        df["pid"] = np.asarray(P.build_partition_ids(t, spec))
+
+        def expected(d, lo, hi):
+            # first writer of each (group, value); a group's verdict goes
+            # to the partition with the most credits, ties -> min pid
+            first = d.groupby(["g", "src"])["pid"].min().reset_index()
+            credit = first.groupby(["g", "pid"]).size().reset_index(name="c")
+            top = credit.sort_values(["g", "c", "pid"], ascending=[True, False, True])
+            top = top.groupby("g").head(1).set_index("g")["pid"]
+            tot = first.groupby("g").size()
+            bad = (tot < lo) if lo is not None else (tot > hi)
+            counts = {}
+            for g, p in top.items():
+                c, b = counts.get(int(p), (0, 0))
+                counts[int(p)] = (c + 1, b + int(bad[g]))
+            ex = sorted((str(g), int(top[g]), str(int(tot[g]))) for g in tot[bad].index)
+            return counts, ex
+
+        cases = [
+            ("docs.src.cardinality", df.dropna(subset=["lang", "src"]).assign(g=lambda d: d["lang"]), 10, None),
+            ("docs.src.whole", df.dropna(subset=["src"]).assign(g=""), None, 11),
+        ]
+        for cid, d, lo, hi in cases:
+            counts, ex = expected(d, lo, hi)
+            rows = v[v.constraint_id == cid]
+            assert {
+                int(r.partition_id): (int(r.n_checked), int(r.n_violations))
+                for r in rows.itertuples()
+            } == counts
+            got = x[x.constraint_id == cid]
+            assert sorted(zip(got.row_ref, got.partition_id, got.observed)) == ex
+        assert len(x[x.constraint_id == "docs.src.whole"]) == 1
+        assert 0 < len(x[x.constraint_id == "docs.src.cardinality"]) < 6
+
     def test_missing_bounds_rejected(self, ray_session):
         with pytest.raises(ValueError, match="min_distinct"):
             self._spec()

@@ -4,7 +4,9 @@ broadcast path)."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
+import ray
 import ray.data
 
 from vald import constraints_dist as cd
@@ -150,6 +152,55 @@ def test_fused_unique_hash_first_matches_full_fallback(ray_session):
     assert viol_fb.equals(viol_full)
     dup = verd_full[verd_full.constraint_id == "corpus.key.unique"]
     assert dup["n_violations"].sum() > 0
+
+
+# completeness, cardinality and fd: the dataset-level kinds that share
+# the row pass and the unique exchange
+_EXTRA_CHECKS = [
+    {"kind": "completeness", "column": "path", "max_null_rate": 0.01},
+    {"kind": "cardinality", "column": "lang", "group_by": "repo", "min_distinct": 1},
+    {"kind": "fd", "columns": ["repo", "path"], "dependent": "lang"},
+]
+
+
+@ray.remote
+class _Counter:
+    def __init__(self):
+        self.n = 0
+
+    def bump(self):
+        self.n += 1
+
+    def get(self):
+        return self.n
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["corpus_spec", "plus_fused_kinds"])
+def test_validate_reads_input_once(ray_session, extra):
+    """validate() calls the input's last map exactly once per block: the
+    fused kinds ride the row pass instead of re-reading the input."""
+    from vald import pipeline as P
+
+    n = 2000
+    ds = C.corpus_dataset(n, 42, override_num_blocks=7).materialize()
+    counter = _Counter.remote()
+
+    def tap(t: pa.Table) -> pa.Table:
+        ray.get(counter.bump.remote())
+        return t
+
+    tapped = ds.map_batches(
+        tap, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    )
+    checks = list(C.CORPUS_SPEC["checks"]) + (_EXTRA_CHECKS if extra else [])
+    res = P.validate(
+        tapped,
+        {**C.CORPUS_SPEC, "checks": checks},
+        parents={"repos": C.repos_table(n, 42)},
+    )
+    v = res.verdicts_table()
+    assert len(v) > 0
+    assert ray.get(counter.get.remote()) == ds.num_blocks()
 
 
 def test_bucketed_group_agg_matches_named_aggregate(ray_session):

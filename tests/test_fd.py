@@ -141,6 +141,105 @@ class TestFdSpec:
         assert int(pc.sum(v["n_checked"]).as_py()) == 4
 
 
+    @staticmethod
+    def _nulls_table(n=600, seed=11) -> pa.Table:
+        # NULL determinant, NULL dependent and NULL / NaN values mixed in
+        rng = np.random.default_rng(seed)
+        det = rng.integers(0, 60, n).astype(object)
+        dep = (rng.integers(0, 60, n) // 6).astype(object)
+        det[rng.random(n) < 0.05] = None
+        dep[rng.random(n) < 0.05] = None
+        v = rng.random(n)
+        v[rng.random(n) < 0.08] = np.nan
+        vmask = rng.random(n) < 0.04
+        return pa.table(
+            {
+                "det": pa.array(det.tolist(), type=pa.int64()),
+                "dep": pa.array(dep.tolist(), type=pa.int64()),
+                "v": pa.array(v, type=pa.float64(), mask=vmask),
+                "part": pa.array(rng.integers(0, 6, n), type=pa.int64()),
+            }
+        )
+
+    @staticmethod
+    def _fused_spec(num_buckets):
+        return compile_table_spec(
+            {
+                "table": "t",
+                "partition_by": "part",
+                "num_partitions": 4,
+                "columns": {},
+                "checks": [
+                    {"kind": "fd", "columns": ["det"], "dependent": "dep",
+                     "num_buckets": num_buckets},
+                    {"kind": "completeness", "column": "v", "max_null_rate": 0.05},
+                ],
+            }
+        )
+
+    @pytest.mark.parametrize("num_buckets", [1, 7, 256])
+    @pytest.mark.parametrize("blocks", [1, 3, 7])
+    def test_fused_parity(self, ray_session, blocks, num_buckets):
+        """fd + completeness through the shared row pass and exchange:
+        per-partition verdicts and exemplars equal a pandas reference
+        at any block count and bucket count, NULLs unchecked."""
+        import ray.data
+
+        t = self._nulls_table()
+        spec = self._fused_spec(num_buckets)
+        res = P.validate(ray.data.from_arrow(t).repartition(blocks), spec)
+        v = res.verdicts_table().to_pandas()
+        x = res.violations_table().to_pandas()
+        df = t.to_pandas()
+        df["pid"] = np.asarray(P.build_partition_ids(t, spec))
+
+        def got(cid):
+            rows = v[v.constraint_id == cid]
+            return {
+                int(r.partition_id): (int(r.n_checked), int(r.n_violations))
+                for r in rows.itertuples()
+                if r.n_checked or r.n_violations
+            }
+
+        # fd: rows with det and dep set; a det with >= 2 deps is bad
+        fd = df.dropna(subset=["det", "dep"])
+        ndep = fd.groupby("det")["dep"].nunique()
+        bad = fd["det"].isin(ndep[ndep >= 2].index)
+        exp = {
+            int(p): (int(len(g)), int(bad[g.index].sum()))
+            for p, g in fd.groupby("pid")
+        }
+        assert got("t.det->dep.fd") == exp
+        ex = x[x.constraint_id == "t.det->dep.fd"]
+        minpid = fd.groupby("det")["pid"].min()
+        assert sorted(zip(ex.row_ref, ex.partition_id, ex.observed)) == sorted(
+            (str(int(d)), int(minpid[d]), str(int(ndep[d])))
+            for d in ndep[ndep >= 2].index
+        )
+
+        # completeness: NaN and NULL both count as null; global decision
+        isnull = df["v"].isna()
+        firing = isnull.mean() > 0.05
+        exp = {
+            int(p): (int(len(g)), int(isnull[g.index].sum()) if firing else 0)
+            for p, g in df.groupby("pid")
+        }
+        assert got("t.v.completeness") == exp
+        ex = x[x.constraint_id == "t.v.completeness"]
+        nulls_by_pid = isnull.groupby(df["pid"]).sum()
+        worst = [int(nulls_by_pid.idxmax())] if firing else []
+        assert ex.partition_id.tolist() == worst
+
+    def test_fused_empty_input(self, ray_session):
+        import ray.data
+
+        t = self._nulls_table().slice(0, 0)
+        res = P.validate(ray.data.from_arrow(t), self._fused_spec(7))
+        v = res.verdicts_table()
+        assert int(pc.sum(v["n_checked"]).as_py() or 0) == 0
+        assert len(res.violations_table()) == 0
+
+
 class TestCompleteness:
     def _spec(self, max_rate):
         return compile_table_spec(
@@ -204,7 +303,7 @@ class TestCompleteness:
 
         t = self._table()
         outs = []
-        for nparts in (1, 7):
+        for nparts in (1, 3, 7):
             res = P.validate(
                 ray.data.from_arrow(t).repartition(nparts),
                 self._spec(0.05),
@@ -220,6 +319,7 @@ class TestCompleteness:
                 ].reset_index(drop=True)
             )
         pd.testing.assert_frame_equal(outs[0], outs[1])
+        pd.testing.assert_frame_equal(outs[0], outs[2])
 
 
 class TestBloomScreenRefint:
@@ -370,3 +470,27 @@ class TestQuantileBounds:
         assert outs[0] == outs[1]
         assert outs[0][0] == int(np.count_nonzero(~np.isnan(v)))
         assert outs[0][1] > 0
+
+
+@pytest.mark.parametrize(
+    "check, missing",
+    [
+        ({"kind": "fd", "determinant": ["det"], "dependent": "dep"}, "columns"),
+        ({"kind": "fd", "columns": ["det"]}, "dependent"),
+        ({"kind": "completeness", "max_null_rate": 0.1}, "column"),
+        ({"kind": "completeness", "column": "v"}, "max_null_rate"),
+        ({"kind": "cardinality", "min_distinct": 1}, "column"),
+    ],
+    ids=["fd-columns", "fd-dependent", "completeness-column",
+         "completeness-max_null_rate", "cardinality-column"],
+)
+def test_missing_required_param_is_spec_error(check, missing):
+    from vald.ir import SpecError
+
+    spec = {
+        "table": "t",
+        "columns": {},
+        "checks": [{"kind": "unique", "columns": ["det"]}, check],
+    }
+    with pytest.raises(SpecError, match=rf"checks\[1\].*'{missing}'"):
+        compile_table_spec(spec)

@@ -310,6 +310,14 @@ def _compile_column(table: str, col: str, colspec: dict) -> list[CompiledCheck]:
     return checks
 
 
+# Parameters a check kind cannot run without (checked at compile time).
+_REQUIRED_PARAMS = {
+    "fd": ("columns", "dependent"),
+    "completeness": ("column", "max_null_rate"),
+    "cardinality": ("column",),
+}
+
+
 def compile_table_spec(spec: dict) -> ConstraintSet:
     """Compile a declarative table spec into a ConstraintSet.
 
@@ -347,8 +355,13 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
         cs.row_checks.extend(_compile_column(table, col, colspec))
 
     counters: dict[str, int] = {}
-    for chk in spec.get("checks", []):
+    for i, chk in enumerate(spec.get("checks", [])):
         kind = chk.get("kind")
+        # fused kinds run inside Ray tasks: a missing parameter must fail
+        # here, not as a KeyError mid-pipeline
+        for key in _REQUIRED_PARAMS.get(kind, ()):
+            if chk.get(key) is None:
+                raise SpecError(f"checks[{i}] (kind {kind!r}): missing required key {key!r}")
         if kind == "sha_equal":
             col = chk["column"]
             cs.row_checks.append(
@@ -380,8 +393,14 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
         elif kind == "unique":
             cols = chk["columns"]
             cid = chk.get("constraint_id", f"{table}.{'_'.join(cols)}.unique")
+            params = {
+                "columns": cols,
+                "num_buckets": chk.get("num_buckets", 256),
+                # "full" (the shared exchange) | "hash_first"
+                "unique_strategy": chk.get("unique_strategy", "full"),
+            }
             cs.dist_checks.append(
-                DistCheck(cid, "unique", {"columns": cols}, chk.get("severity", "error"))
+                DistCheck(cid, "unique", params, chk.get("severity", "error"))
             )
         elif kind == "refint":
             cols = chk["columns"]
@@ -473,8 +492,8 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             # distinct `column` values per group within [min, max]
             col = chk["column"]
             if chk.get("min_distinct") is None and chk.get("max_distinct") is None:
-                raise ValueError(
-                    "cardinality check needs min_distinct and/or max_distinct"
+                raise SpecError(
+                    f"checks[{i}]: cardinality check needs min_distinct and/or max_distinct"
                 )
             cid = chk.get(
                 "constraint_id", f"{table}.{col}.cardinality"

@@ -3,22 +3,30 @@ verdict fold (SURVEY.md §3.2-§3.4).
 
 Execution shape (Ray-Data-first, BASELINE.json north_rule):
 
-- ONE ``map_batches`` actor-pool pass (``RowValidator``) evaluates every
+- ONE ``map_batches`` task pass (``RowValidator``) evaluates every
   row-kind check of the ConstraintSet per zero-copy Arrow batch and
   emits a small *result stream*: per-batch verdict partials + violation
-  rows, in one fixed Arrow schema (RESULT_SCHEMA). The input is read
-  once; the result stream is ~|violations| + O(batches × constraints)
-  rows — orders of magnitude smaller than the input — so it is safe to
-  materialize (or write to Parquet at scale) and derive both outputs.
-- Distributed checks (unique B4, refint B5, drift B9) are planned as
-  their own stages in vald.constraints_dist and UNION their result
-  streams into the same schema.
+  rows (RESULT_SCHEMA). The same pass emits the batch partials of the
+  dataset-level checks that share it (EXT_SCHEMA): the fused kinds
+  unique, fd, cardinality and completeness (constraints_dist.FUSED_KINDS)
+  and the child keys of large-parent refint. The input is read once;
+  the stream is ~|violations| + O(batches × constraints) + the
+  per-batch distinct keys — far smaller than the input — so it is
+  materialized and feeds every later stage.
+- ONE ``groupby("ubucket").map_groups`` exchange folds all fused kinds
+  together (constraints_dist.fused_exchange); opt-in hash-first
+  uniqueness and the large-parent refint anti-join run their own
+  exchanges over the same materialized stream.
+- drift, group_drift, freshness, monotonic, reconcile and
+  quantile_bounds still read the input themselves (their own pruned
+  pass) and UNION their result rows into the same schema.
 - Verdict fold (B10): groupby (partition_id, constraint_id) over the
   tiny partial rows; sums are commutative+associative so verdicts are
   identical at any parallelism (SURVEY.md §4.3 determinism).
 
-Stateful setup (compiled regexes, broadcast parent-key sets, baseline
-profiles) happens once per actor in ``RowValidator.__init__`` (B7).
+Stateful setup (compiled regexes, broadcast parent-key sets) happens
+once per worker process in ``RowValidator.__init__`` (B7), cached by
+``_TaskValidator``.
 """
 
 from __future__ import annotations
@@ -78,39 +86,60 @@ VERDICT_SCHEMA = pa.schema(
 DEFAULT_MAX_VIOLATIONS_PER_BATCH = 100_000
 
 
+# Per-column fill for rows built by result_rows / ext_rows / partial_rows.
+_DEFAULTS: dict[str, Any] = {
+    "partition_id": 0,
+    "row_ref": "",
+    "column": "",
+    "observed": "",
+    "detail": "",
+    "is_violation": False,
+    "n_checked": 0,
+    "n_violations": 0,
+    "rec": "res",
+    "uh": 0,
+    "ubucket": 0,
+    "ucnt": 0,
+}
+
+
+def _rows(schema: pa.Schema, rows: dict[str, list]) -> pa.Table:
+    n = len(rows.get("constraint_id", []))
+    cols = [
+        pa.array(
+            rows[f.name] if f.name in rows else [_DEFAULTS[f.name]] * n,
+            type=f.type,
+        )
+        for f in schema
+    ]
+    return pa.Table.from_arrays(cols, schema=schema)
+
+
 def result_rows(
     rows: dict[str, list],
 ) -> pa.Table:
     """Build a RESULT_SCHEMA table from column lists (missing → default)."""
-    n = len(rows.get("constraint_id", []))
-    defaults: dict[str, Any] = {
-        "partition_id": [0] * n,
-        "row_ref": [""] * n,
-        "column": [""] * n,
-        "observed": [""] * n,
-        "detail": [""] * n,
-        "is_violation": [False] * n,
-        "n_checked": [0] * n,
-        "n_violations": [0] * n,
-    }
-    cols = []
-    for f in RESULT_SCHEMA:
-        data = rows.get(f.name, defaults.get(f.name))
-        cols.append(pa.array(data, type=f.type))
-    return pa.Table.from_arrays(cols, schema=RESULT_SCHEMA)
+    return _rows(RESULT_SCHEMA, rows)
 
 
 def _empty_result() -> pa.Table:
     return result_rows({"constraint_id": []})
 
 
-# Extended (internal) schema emitted by RowValidator: result rows plus
-# uniqueness key-partial rows ("rec" == "key") so the unique check
-# shares the SAME input pass as the row checks — the input (and its
-# wide content column) is read and decoded exactly once. Key rows
-# carry (uh = stable hash of the key, ubucket = uh % B, ucnt =
-# within-batch multiplicity); the canonical key string rides in
-# row_ref. _project_res() strips key rows back to RESULT_SCHEMA.
+# Extended (internal) schema emitted by RowValidator: result rows
+# (rec == "res") plus the partial rows of the dataset-level checks that
+# share THIS input pass, so the input (and its wide content column) is
+# read and decoded exactly once:
+#
+# - rec == <kind> for the fused kinds (constraints_dist.FUSED_KINDS:
+#   unique, fd, cardinality, completeness): row_ref carries the key
+#   (unique key, fd determinant, cardinality group), observed the value
+#   (fd dependent, cardinality value), ucnt a row count, n_checked /
+#   n_violations completeness's row / null counts, uh the key hash and
+#   ubucket the bucket of the one shared exchange;
+# - rec == "rkey" for child-key partials of large-parent refint.
+#
+# _project_res() strips partial rows back to RESULT_SCHEMA.
 EXT_SCHEMA = pa.schema(
     list(RESULT_SCHEMA)
     + [
@@ -123,26 +152,7 @@ EXT_SCHEMA = pa.schema(
 
 
 def ext_rows(rows: dict[str, list]) -> pa.Table:
-    n = len(rows.get("constraint_id", []))
-    defaults: dict[str, Any] = {
-        "partition_id": [0] * n,
-        "row_ref": [""] * n,
-        "column": [""] * n,
-        "observed": [""] * n,
-        "detail": [""] * n,
-        "is_violation": [False] * n,
-        "n_checked": [0] * n,
-        "n_violations": [0] * n,
-        "rec": ["res"] * n,
-        "uh": [0] * n,
-        "ubucket": [0] * n,
-        "ucnt": [0] * n,
-    }
-    cols = []
-    for f in EXT_SCHEMA:
-        data = rows.get(f.name, defaults.get(f.name))
-        cols.append(pa.array(data, type=f.type))
-    return pa.Table.from_arrays(cols, schema=EXT_SCHEMA)
+    return _rows(EXT_SCHEMA, rows)
 
 
 def _empty_ext() -> pa.Table:
@@ -154,52 +164,33 @@ def _project_res(t: pa.Table) -> pa.Table:
     return t.select(RESULT_SCHEMA.names)
 
 
-def _key_partial_table(
-    cid: str,
-    rec: str,
-    ref_arr,
-    pid_arr,
-    h: np.ndarray,
-    bucket: np.ndarray,
-    cnt_arr,
-) -> pa.Table:
-    """Arrow-native EXT_SCHEMA key-partial rows — no Python lists.
+def partial_rows(cid: str, rec: str, **cols) -> pa.Table:
+    """Arrow-native EXT_SCHEMA partial rows — no Python lists.
 
-    The key partials are ~one row per DISTINCT key per batch (≈ batch
-    size for fine-grained keys like (repo,path,commit)), so this path
-    must stay entirely in Arrow/numpy: the ref strings ride zero-copy
-    from the per-batch ``group_by``, constants come from ``pa.repeat``
-    (C++-level, no per-row Python objects). Measured: the previous
+    ``cols`` maps EXT column names to equal-length arrays (Arrow or
+    numpy); every other column is a constant. Partials are ~one row per
+    DISTINCT key per batch (≈ batch size for fine-grained keys like
+    (repo,path,commit)), so this path stays in Arrow/numpy: refs ride
+    zero-copy from the per-batch ``group_by``, constants come from
+    ``pa.repeat`` (C++-level, no per-row Python objects). Measured: a
     list-based emission (`to_pylist()` of n refs + list rebuild) was the
     single largest allocation source in the fused pass on this VM's
     ~45 MB/s/stream allocator."""
-    k = len(ref_arr)
-    if isinstance(ref_arr, pa.ChunkedArray):
-        ref_arr = ref_arr.combine_chunks()
-    if isinstance(pid_arr, pa.ChunkedArray):
-        pid_arr = pid_arr.combine_chunks()
-    if isinstance(cnt_arr, pa.ChunkedArray):
-        cnt_arr = cnt_arr.combine_chunks()
-    zero64 = pa.repeat(pa.scalar(0, pa.int64()), k)
-    empty = pa.repeat("", k)
-    return pa.Table.from_arrays(
-        [
-            pid_arr.cast(pa.int32()),
-            pa.repeat(cid, k),
-            ref_arr.cast(pa.string()),
-            empty,
-            empty,
-            empty,
-            pa.repeat(False, k),
-            zero64,
-            zero64,
-            pa.repeat(rec, k),
-            pa.array(h, type=pa.uint64()),
-            pa.array(bucket, type=pa.int32()),
-            cnt_arr.cast(pa.int64()),
-        ],
-        schema=EXT_SCHEMA,
-    )
+    k = len(next(iter(cols.values())))
+    fixed = {**_DEFAULTS, "constraint_id": cid, "rec": rec}
+    arrays = []
+    for f in EXT_SCHEMA:
+        a = cols.get(f.name)
+        if a is None:
+            a = pa.repeat(pa.scalar(fixed[f.name], f.type), k)
+        elif isinstance(a, np.ndarray):
+            a = pa.array(a, type=f.type)
+        else:
+            if isinstance(a, pa.ChunkedArray):
+                a = a.combine_chunks()
+            a = a.cast(f.type)
+        arrays.append(a)
+    return pa.Table.from_arrays(arrays, schema=EXT_SCHEMA)
 
 
 def build_row_ref(t: pa.Table, cs: ConstraintSet) -> pa.Array | None:
@@ -319,9 +310,10 @@ def build_partition_ids(t: pa.Table, cs: ConstraintSet) -> np.ndarray:
 
 
 class RowValidator:
-    """Actor-pool callable (B7): compiles the spec ONCE per actor in
+    """Row-pass callable (B7): compiles the spec ONCE per worker in
     __init__ (regexes, broadcast key sets), evaluates every row check
-    per batch in __call__, emits RESULT_SCHEMA rows."""
+    per batch in __call__ and emits EXT_SCHEMA rows: RESULT rows plus
+    the batch partials of the dataset-level checks sharing the pass."""
 
     def __init__(
         self,
@@ -337,6 +329,10 @@ class RowValidator:
         # this validator emits their child-key partials inline
         # (rec == "rkey") so the anti-join never re-reads the input.
         self.refint_fused = refint_fused or {}
+        # fused dataset-level kinds: their batch partials ride this pass
+        from .constraints_dist import FUSED_KINDS
+
+        self.fused = [d for d in self.cs.dist_checks if d.kind in FUSED_KINDS]
         # broadcast small-side key sets for refint (B5 broadcast fallback):
         # ray.put once on the driver, ray.get once per actor/worker here.
         # Keys are prebuilt as Arrow arrays so the per-batch membership
@@ -377,28 +373,7 @@ class RowValidator:
             taken = refs.take(pa.array(idx, type=pa.int64()))
             return ["<null>" if v is None else v for v in taken.to_pylist()]
 
-        out: dict[str, list] = {
-            "partition_id": [],
-            "constraint_id": [],
-            "row_ref": [],
-            "column": [],
-            "observed": [],
-            "detail": [],
-            "is_violation": [],
-            "n_checked": [],
-            "n_violations": [],
-            "rec": [],
-            "uh": [],
-            "ubucket": [],
-            "ucnt": [],
-        }
-
-        def pad_ext(k: int):
-            out["rec"].extend(["res"] * k)
-            out["uh"].extend([0] * k)
-            out["ubucket"].extend([0] * k)
-            out["ucnt"].extend([0] * k)
-
+        out: dict[str, list] = {f.name: [] for f in RESULT_SCHEMA}
         P = max(int(pids.max()) + 1, 1) if n else 1
 
         def emit_partials(cid: str, checked: np.ndarray, bad: np.ndarray):
@@ -419,7 +394,6 @@ class RowValidator:
             out["is_violation"].extend([False] * k)
             out["n_checked"].extend(n_checked[present].astype(np.int64).tolist())
             out["n_violations"].extend(n_bad[present].astype(np.int64).tolist())
-            pad_ext(k)
 
         for check in cs.row_checks:
             ok = check.eval(batch)
@@ -443,7 +417,6 @@ class RowValidator:
                 out["is_violation"].append(True)
                 out["n_checked"].append(0)
                 out["n_violations"].append(0)
-                pad_ext(1)
 
         # broadcast refint (B5): vectorized membership (pc.is_in)
         # against the actor-held Arrow key array — zero Python objects.
@@ -501,106 +474,23 @@ class RowValidator:
                     out["is_violation"].append(True)
                     out["n_checked"].append(0)
                     out["n_violations"].append(0)
-                    pad_ext(1)
 
-        # fused uniqueness key partials (B4): within-batch local
-        # group-by of the key, emitted as "key" records — the unique
-        # check shares THIS pass instead of re-reading the input.
-        # Entirely Arrow-native (see _key_partial_table).
-        import pyarrow.compute as _pc2
+        # dataset-level checks that share THIS pass instead of
+        # re-reading the input: the fused kinds' batch partials and the
+        # large-parent refint child-key partials (rec == "rkey"), all
+        # Arrow-native (see partial_rows)
+        from . import constraints_dist as cd
 
-        from .hashing import KEY_SEP, stable_hash64
-
-        key_tables: list[pa.Table] = []
-        pids_arr = pa.array(pids, type=pa.int32())
-        ones = pa.array(np.ones(n, dtype=np.int64))
-        for dist in cs.dist_checks:
-            if dist.kind != "unique":
-                continue
-            num_buckets = int(dist.params.get("num_buckets", 256))
-            cols = list(dist.params["columns"])
-            if set(cols) == set(cs.row_ref_cols) and cs.row_ref_template:
-                kref = refs
-            else:
-                keys = [
-                    _pc2.fill_null(_pc2.cast(batch[c], pa.string()), "<null>")
-                    for c in cols
-                ]
-                kref = (
-                    keys[0]
-                    if len(keys) == 1
-                    else _pc2.binary_join_element_wise(*keys, KEY_SEP)
-                )
-            # group by (ref, pid) — NOT ref with min(pid) — so a key that
-            # spans partitions inside one batch attributes its count to
-            # each actual partition exactly (ADVICE r2); downstream
-            # consumers already merge same-ref rows across partials.
-            small = pa.table({"ref": kref, "pid": pids_arr, "cnt": ones})
-            agg = small.group_by(["ref", "pid"], use_threads=False).aggregate(
-                [("cnt", "sum")]
-            )
-            agg = agg.rename_columns(["ref", "pid", "cnt"])
-            h = stable_hash64(agg["ref"])
-            key_tables.append(
-                _key_partial_table(
-                    dist.constraint_id,
-                    "key",
-                    agg["ref"],
-                    agg["pid"],
-                    h,
-                    (h % np.uint64(num_buckets)).astype(np.int32),
-                    agg["cnt"],
-                )
-            )
-
-        # fused refint child-key partials (B5 large-parent path): one
-        # row per distinct non-null child key per batch; the anti-join
-        # stage (constraints_dist.fused_refint_anti_results) consumes
-        # these instead of re-reading the input.
-        for dist in cs.dist_checks:
-            if dist.kind != "refint" or dist.constraint_id not in self.refint_fused:
-                continue
-            num_buckets = int(dist.params.get("num_buckets", 256))
-            cols = self.refint_fused[dist.constraint_id]
-            valid = np.ones(n, dtype=bool)
-            for c in cols:
-                valid &= np.asarray(
-                    _pc2.is_valid(batch[c]).to_numpy(zero_copy_only=False), dtype=bool
-                )
-            keys = [_pc2.cast(batch[c], pa.string()) for c in cols]
-            kref = (
-                keys[0]
-                if len(keys) == 1
-                else _pc2.binary_join_element_wise(*keys, KEY_SEP)
-            )
-            small = pa.table({"ref": kref, "pid": pids_arr, "cnt": ones})
-            if not valid.all():
-                small = small.filter(pa.array(valid))
-            if len(small) == 0:
-                continue
-            # (ref, pid) grouping for exact per-partition attribution —
-            # same rationale as the unique partials above (ADVICE r2)
-            agg = small.group_by(["ref", "pid"], use_threads=False).aggregate(
-                [("cnt", "sum")]
-            )
-            agg = agg.rename_columns(["ref", "pid", "cnt"])
-            h = stable_hash64(agg["ref"])
-            key_tables.append(
-                _key_partial_table(
-                    dist.constraint_id,
-                    "rkey",
-                    agg["ref"],
-                    agg["pid"],
-                    h,
-                    (h % np.uint64(num_buckets)).astype(np.int32),
-                    agg["cnt"],
-                )
-            )
-
-        res = ext_rows(out)
-        if not key_tables:
-            return res
-        return pa.concat_tables([res, *key_tables])
+        partials = [
+            cd.FUSED_KINDS[d.kind].partial(batch, d, cs, pids, refs)
+            for d in self.fused
+        ]
+        partials += [
+            cd.refint_key_partial(batch, d, pids)
+            for d in cs.dist_checks
+            if d.kind == "refint" and d.constraint_id in self.refint_fused
+        ]
+        return pa.concat_tables([ext_rows(out), *partials])
 
 
 def stamp(
@@ -906,9 +796,17 @@ def validate(
     batch_size: int | None = DEFAULT_BATCH_SIZE,
     materialize: bool = True,
     out_dir: str | None = None,
-    use_actors: bool = False,
 ) -> ValidationResult:
     """Run the full ConstraintSet against a Dataset.
+
+    The input is read once, by the row pass. Row checks, refint
+    membership and the batch partials of unique, fd, cardinality and
+    completeness come out of that pass; the four fused kinds are then
+    decided in one shared exchange (constraints_dist.fused_exchange).
+    drift, group_drift, freshness, monotonic, reconcile and
+    quantile_bounds still read ``ds`` themselves. ``concurrency`` is
+    accepted for call-site compatibility and does not change the plan:
+    the row pass runs as elastic tasks.
 
     ``parents`` maps refint parent_table name → its key source (Dataset /
     Arrow table / list of keys). The planner picks the B5 execution path
@@ -1003,49 +901,38 @@ def validate(
             keys = set(zip(*(keys_t[c].to_pylist() for c in pcols)))
         broadcast_refs[cid] = ray.put(keys)
 
-    if use_actors:
-        # actor-pool path (B7): for expensive per-actor state (huge
-        # schemas, model weights); pays pool-startup latency.
-        combined = ds.map_batches(
-            RowValidator,
-            fn_constructor_kwargs={
-                "cset": cs,
-                "broadcast_refs": broadcast_refs,
-                "refint_fused": refint_fused,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency or (1, 8),
-            zero_copy_batch=True,
-        )
-    else:
-        # stateless-task path (default): elastic scheduling, state
-        # amortized via the per-process _VALIDATOR_CACHE.
-        import uuid
+    # stateless-task row pass: elastic scheduling, state amortized via
+    # the per-process _VALIDATOR_CACHE.
+    import uuid
 
-        combined = ds.map_batches(
-            _TaskValidator(uuid.uuid4().hex, cs, broadcast_refs, refint_fused),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-        )
+    raw = ds.map_batches(
+        _TaskValidator(uuid.uuid4().hex, cs, broadcast_refs, refint_fused),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        zero_copy_batch=True,
+    )
 
     # --- distributed checks union into the same result stream ---
-    # uniqueness + fused-refint consume the key partials the validator
+    # The fused kinds and fused refint consume the partials the row pass
     # emitted inline (EXT_SCHEMA), so the input is read exactly once;
-    # the raw stream is materialized first (its key rows are the
-    # shuffle's input and would be pinned by the exchange anyway).
+    # the raw stream is materialized first (it feeds both the result
+    # projection and the exchanges).
     from . import constraints_dist as cd
 
-    raw = combined
-    unique_dists = [d for d in cs.dist_checks if d.kind == "unique"]
-    if unique_dists or refint_fused:
+    fused = [d for d in cs.dist_checks if d.kind in cd.FUSED_KINDS]
+    hash_first = [
+        d for d in fused if d.params.get("unique_strategy") == "hash_first"
+    ]
+    shared = [d for d in fused if d not in hash_first]
+    if fused or refint_fused:
         raw = raw.materialize()
     combined = raw.map_batches(
         _project_res, batch_format="pyarrow", zero_copy_batch=True
     )
-    if unique_dists:
-        combined = combined.union(cd.fused_unique_results(raw, cs, unique_dists))
+    if shared:
+        combined = combined.union(cd.fused_exchange(raw, shared))
+    if hash_first:
+        combined = combined.union(cd.fused_unique_results(raw, cs, hash_first))
     for dist in cs.dist_checks:
         if dist.kind == "refint" and dist.constraint_id in refint_fused:
             combined = combined.union(
@@ -1053,26 +940,17 @@ def validate(
                     raw, anti_parents[dist.constraint_id], cs, dist
                 )
             )
+    # kinds that still read the input themselves (own pruned pass)
+    reads_input = {
+        "drift": cd.drift_check_results,
+        "group_drift": cd.group_drift_check_results,
+        "freshness": cd.freshness_check_results,
+        "monotonic": cd.monotonic_check_results,
+        "quantile_bounds": cd.quantile_bounds_check_results,
+    }
     for dist in cs.dist_checks:
-        if dist.kind == "drift":
-            # drift re-reads the input for its sketch partials (its own
-            # column-pruned pass); fine — sketch columns are narrow
-            combined = combined.union(cd.drift_check_results(ds, cs, dist))
-        elif dist.kind == "group_drift":
-            # per-group sketch pass: exchange is one digest per
-            # (group, batch); see drift.group_drift_check_results
-            combined = combined.union(cd.group_drift_check_results(ds, cs, dist))
-        elif dist.kind == "freshness":
-            # O(partitions x groups x batches) partials, one fold task
-            combined = combined.union(
-                cd.freshness_check_results(ds, cs, dist)
-            )
-        elif dist.kind == "cardinality":
-            # B4-shaped locally-distinct (pid, group, value) exchange +
-            # one fold task, see cardinality_check_results
-            combined = combined.union(
-                cd.cardinality_check_results(ds, cs, dist)
-            )
+        if dist.kind in reads_input:
+            combined = combined.union(reads_input[dist.kind](ds, cs, dist))
         elif dist.kind == "reconcile":
             # other table resolves from the same parents= mapping refint
             # uses; pa.Table / list sources are wrapped into a Dataset
@@ -1090,25 +968,6 @@ def validate(
                 )
             combined = combined.union(
                 cd.reconcile_check_results(ds, src, cs, dist)
-            )
-        elif dist.kind == "monotonic":
-            # one key-hash exchange + per-bucket sort/compare, see
-            # monotonic_check_results
-            combined = combined.union(cd.monotonic_check_results(ds, cs, dist))
-        elif dist.kind == "fd":
-            # FD re-reads the input column-pruned to det+dep (narrow);
-            # one exchange of locally-distinct pairs, see fd_check_results
-            combined = combined.union(cd.fd_check_results(ds, cs, dist))
-        elif dist.kind == "completeness":
-            # global null-rate threshold: O(partitions x batches)
-            # partials, one fold task
-            combined = combined.union(
-                cd.completeness_check_results(ds, cs, dist)
-            )
-        elif dist.kind == "quantile_bounds":
-            # exact-quantile thresholds + one pruned flagging pass
-            combined = combined.union(
-                cd.quantile_bounds_check_results(ds, cs, dist)
             )
 
     # A11 schema congruence: plan-time, driver-side (ds.schema() is

@@ -483,6 +483,8 @@ def augment_by_key(
 
     if n <= threshold:
         vt = collect_arrow(m)
+        # a NULL dimension key never matches (as on the join route)
+        vt = vt.filter(pc.is_valid(vt[key_col]))
         keys_arr = vt[key_col].combine_chunks()
         vals_tbl = vt.select(val_names)
         pos_lut = None
