@@ -42,7 +42,7 @@ def entry() -> Any:
         ds = ray.data.read_parquet(
             f"{SF_SMOKE}/{table}.parquet", columns=SPEC_COLUMNS[table]
         )
-        res = P.validate(ds, spec, parents=parents, concurrency=2)
+        res = P.validate(ds, spec, parents=parents)
         df = res.verdicts_table().to_pandas()
         df.insert(0, "table", table)
         verdicts.append(df)
@@ -69,7 +69,6 @@ def entry() -> Any:
                 }
             ],
         },
-        concurrency=2,
     )
     df = res.verdicts_table().to_pandas()
     df.insert(0, "table", "documents_gd")
@@ -106,7 +105,6 @@ def entry() -> Any:
                 columns=["l_orderkey", "l_extendedprice"],
             )
         },
-        concurrency=2,
     )
     df = res.verdicts_table().to_pandas()
     df.insert(0, "table", "orders_rec")
@@ -133,7 +131,6 @@ def entry() -> Any:
                 }
             ],
         },
-        concurrency=2,
     )
     df = res.verdicts_table().to_pandas()
     df.insert(0, "table", "documents_card")
@@ -145,7 +142,6 @@ def entry() -> Any:
         C.corpus_dataset(n, 42, override_num_blocks=4),
         C.CORPUS_SPEC,
         parents={"repos": C.repos_table(n, 42)},
-        concurrency=2,
     )
     df = res.verdicts_table().to_pandas()
     df.insert(0, "table", "corpus")

@@ -44,7 +44,6 @@ class TestBloomScreenParents:
             ray.data.from_arrow(child).repartition(2),
             spec,
             parents={"parent": parent},
-            concurrency=2,
         )
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "t.fk.refint"))
@@ -101,7 +100,7 @@ class TestQuantileBoundsExemplarCap:
                 ],
             }
         )
-        res = P.validate(ray.data.from_arrow(t), spec, concurrency=1)
+        res = P.validate(ray.data.from_arrow(t), spec)
         cid = "t.v.quantile_bounds"
         verd = res.verdicts_table()
         rows = verd.filter(pc.equal(verd["constraint_id"], cid))
@@ -139,7 +138,7 @@ class TestCompletenessExemplarAttribution:
         expected_pid = int(
             np.unique(np.asarray(P.build_partition_ids(t, spec))[part == 2])[0]
         )
-        res = P.validate(ray.data.from_arrow(t).repartition(3), spec, concurrency=2)
+        res = P.validate(ray.data.from_arrow(t).repartition(3), spec)
         viol = res.violations_table()
         ex = viol.filter(pc.equal(viol["constraint_id"], "t.v.completeness"))
         assert len(ex) == 1
@@ -163,7 +162,7 @@ class TestFdStringDeterminant:
         )
         (dist,) = spec.dist_checks
         assert dist.params["columns"] == ["a"]
-        res = P.validate(ray.data.from_arrow(t), spec, concurrency=1)
+        res = P.validate(ray.data.from_arrow(t), spec)
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "t.a->b.fd"))
         assert int(pc.sum(rows["n_violations"]).as_py() or 0) == 2

@@ -86,7 +86,6 @@ class TestCardinalitySpec:
         res = P.validate(
             ray.data.from_arrow(_tbl()).repartition(3),
             self._spec(min_distinct=2),
-            concurrency=2,
         )
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "docs.src.cardinality"))
@@ -105,7 +104,6 @@ class TestCardinalitySpec:
 
         res = P.validate(
             ray.data.from_arrow(_tbl()), self._spec(min_distinct=1, max_distinct=5),
-            concurrency=2,
         )
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "docs.src.cardinality"))
@@ -138,8 +136,9 @@ class TestCardinalitySpec:
         checks = [
             {"kind": "cardinality", "column": "src", "group_by": "lang",
              "min_distinct": 10, "num_buckets": num_buckets},
+            # same column, no explicit id: compiled as ".cardinality.1"
             {"kind": "cardinality", "column": "src", "max_distinct": 11,
-             "num_buckets": num_buckets, "constraint_id": "docs.src.whole"},
+             "num_buckets": num_buckets},
         ]
         spec = compile_table_spec(
             {"table": "docs", "partition_by": "part", "num_partitions": 4,
@@ -169,7 +168,7 @@ class TestCardinalitySpec:
 
         cases = [
             ("docs.src.cardinality", df.dropna(subset=["lang", "src"]).assign(g=lambda d: d["lang"]), 10, None),
-            ("docs.src.whole", df.dropna(subset=["src"]).assign(g=""), None, 11),
+            ("docs.src.cardinality.1", df.dropna(subset=["src"]).assign(g=""), None, 11),
         ]
         for cid, d, lo, hi in cases:
             counts, ex = expected(d, lo, hi)
@@ -180,8 +179,43 @@ class TestCardinalitySpec:
             } == counts
             got = x[x.constraint_id == cid]
             assert sorted(zip(got.row_ref, got.partition_id, got.observed)) == ex
-        assert len(x[x.constraint_id == "docs.src.whole"]) == 1
+        assert len(x[x.constraint_id == "docs.src.cardinality.1"]) == 1
         assert 0 < len(x[x.constraint_id == "docs.src.cardinality"]) < 6
+
+    def test_repeated_checks_get_distinct_ids(self, ray_session):
+        """The shared exchange folds per constraint_id, so repeated
+        default ids get a ".N" suffix and a repeated explicit id is a
+        SpecError."""
+        from vald import constraints_dist as cd
+        from vald.ir import _SHARED_EXCHANGE_KINDS, SpecError
+
+        assert set(_SHARED_EXCHANGE_KINDS) == set(cd.FUSED_KINDS)
+        checks = [
+            {"kind": "cardinality", "column": "src", "min_distinct": 1},
+            {"kind": "cardinality", "column": "src", "max_distinct": 9},
+            {"kind": "completeness", "column": "src", "max_null_rate": 0.1},
+            {"kind": "completeness", "column": "src", "max_null_rate": 0.2},
+            {"kind": "fd", "columns": ["lang"], "dependent": "src"},
+            {"kind": "fd", "columns": ["lang"], "dependent": "src"},
+            {"kind": "unique", "columns": ["src"]},
+            {"kind": "unique", "columns": ["src"]},
+        ]
+        cs = compile_table_spec({"table": "docs", "checks": checks})
+        assert [d.constraint_id for d in cs.dist_checks] == [
+            "docs.src.cardinality", "docs.src.cardinality.1",
+            "docs.src.completeness", "docs.src.completeness.1",
+            "docs.lang->src.fd", "docs.lang->src.fd.1",
+            "docs.src.unique", "docs.src.unique.1",
+        ]
+        with pytest.raises(SpecError, match="duplicate constraint_id 'x'"):
+            compile_table_spec(
+                {"table": "docs", "checks": [
+                    {"kind": "completeness", "column": "src",
+                     "max_null_rate": 0.1, "constraint_id": "x"},
+                    {"kind": "cardinality", "column": "src",
+                     "min_distinct": 1, "constraint_id": "x"},
+                ]}
+            )
 
     def test_missing_bounds_rejected(self, ray_session):
         with pytest.raises(ValueError, match="min_distinct"):

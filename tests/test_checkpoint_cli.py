@@ -35,7 +35,7 @@ def _partitions(n_shards=4):
 def test_resume_skips_completed_and_outputs_identical(tmp_path, ray_session):
     parents = {"repos": C.repos_table(N, SEED)}
     out_full = str(tmp_path / "full")
-    s1 = run_resumable(_partitions(), C.CORPUS_SPEC, out_full, parents=parents, concurrency=2)
+    s1 = run_resumable(_partitions(), C.CORPUS_SPEC, out_full, parents=parents)
     assert len(s1.completed) == 4 and not s1.skipped
     assert s1.total_violations > 0
 
@@ -43,14 +43,14 @@ def test_resume_skips_completed_and_outputs_identical(tmp_path, ray_session):
     out_resume = str(tmp_path / "resumed")
     parts = _partitions()
     first_two = {k: parts[k] for k in list(sorted(parts))[:2]}
-    run_resumable(first_two, C.CORPUS_SPEC, out_resume, parents=parents, concurrency=2)
+    run_resumable(first_two, C.CORPUS_SPEC, out_resume, parents=parents)
     mgr = CheckpointManager(out_resume)
     assert mgr.completed() == {"shard0", "shard1"}
     mtimes = {
         p: os.path.getmtime(os.path.join(mgr.ckpt_dir, p + ".json"))
         for p in mgr.completed()
     }
-    s2 = run_resumable(parts, C.CORPUS_SPEC, out_resume, parents=parents, concurrency=2)
+    s2 = run_resumable(parts, C.CORPUS_SPEC, out_resume, parents=parents)
     assert sorted(s2.skipped) == ["shard0", "shard1"]
     assert sorted(s2.completed) == ["shard2", "shard3"]
     # completed partitions were NOT recomputed (manifest mtimes unchanged)
@@ -177,7 +177,6 @@ def test_speculative_straggler_backup(tmp_path, ray_session):
         C.CORPUS_SPEC,
         out_spec,
         parents=parents,
-        concurrency=2,
         pipeline_width=3,
         speculate_factor=1.5,
         speculate_min_done=1,
@@ -189,7 +188,7 @@ def test_speculative_straggler_backup(tmp_path, ray_session):
     # byte-identical to a plain run
     out_plain = str(tmp_path / "plain")
     run_resumable(
-        _partitions(), C.CORPUS_SPEC, out_plain, parents=parents, concurrency=2
+        _partitions(), C.CORPUS_SPEC, out_plain, parents=parents
     )
     for kind in ("violations", "verdicts"):
         for pid in s.completed:

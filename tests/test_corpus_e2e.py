@@ -18,7 +18,7 @@ SEED = 42
 def result(ray_session):
     ds = C.corpus_dataset(N, SEED, override_num_blocks=8)
     parents = {"repos": C.repos_table(N, SEED)}
-    return P.validate(ds, C.CORPUS_SPEC, parents=parents, concurrency=2)
+    return P.validate(ds, C.CORPUS_SPEC, parents=parents)
 
 
 def _violas(result) -> set[tuple[str, str]]:
@@ -63,7 +63,7 @@ def test_clean_corpus_null_test(ray_session):
 
     ds = ray.data.from_arrow(t)
     res = P.validate(
-        ds, C.CORPUS_SPEC, parents={"repos": C.repos_table(N, SEED)}, concurrency=2
+        ds, C.CORPUS_SPEC, parents={"repos": C.repos_table(N, SEED)}
     )
     assert len(res.violations_table()) == 0
     assert res.passed()
@@ -79,7 +79,6 @@ def test_partition_invariance(ray_session):
             ds,
             C.CORPUS_SPEC,
             parents={"repos": C.repos_table(small, SEED)},
-            concurrency=2,
         )
         vt = res.violations_table()
         outs.append(

@@ -101,20 +101,19 @@ def test_fused_unique_hash_first_matches_full_fallback(ray_session):
     """r2 hash-first uniqueness (opt-in light shuffle + candidate
     refinement) must produce identical verdicts AND violations to the
     default ref-carrying full shuffle, on a dup-heavy corpus — and so
-    must its extreme-duplication fallback."""
-    import copy
-
+    must its extreme-duplication fallback. Specs do not expose the
+    strategy; it is set on the compiled unique check."""
     from vald import constraints_dist as cd
     from vald import pipeline as P
 
     n = 8000
 
     def run(strategy=None, max_cand=5_000_000):
-        spec = copy.deepcopy(C.CORPUS_SPEC)
+        spec = compile_table_spec(C.CORPUS_SPEC)
         if strategy:
-            for ch in spec["checks"]:
-                if ch.get("kind") == "unique":
-                    ch["unique_strategy"] = strategy
+            for d in spec.dist_checks:
+                if d.kind == "unique":
+                    d.params["unique_strategy"] = strategy
         orig = cd.fused_unique_results
 
         def patched(raw, cs, dists, max_candidate_broadcast=max_cand):

@@ -101,7 +101,7 @@ class TestFdSpec:
                 ],
             }
         )
-        res = P.validate(ray.data.from_arrow(t).repartition(5), spec, concurrency=2)
+        res = P.validate(ray.data.from_arrow(t).repartition(5), spec)
         v = res.verdicts_table()
         cid = "t.det->dep.fd"
         rows = v.filter(pc.equal(v["constraint_id"], cid))
@@ -135,7 +135,7 @@ class TestFdSpec:
                 ],
             }
         )
-        res = P.validate(ray.data.from_arrow(t), spec, concurrency=1)
+        res = P.validate(ray.data.from_arrow(t), spec)
         v = res.verdicts_table()
         assert int(pc.sum(v["n_violations"]).as_py() or 0) == 0
         assert int(pc.sum(v["n_checked"]).as_py()) == 4
@@ -275,7 +275,7 @@ class TestCompleteness:
 
         t = self._table()
         res = P.validate(
-            ray.data.from_arrow(t).repartition(5), self._spec(0.05), concurrency=2
+            ray.data.from_arrow(t).repartition(5), self._spec(0.05)
         )
         v = res.verdicts_table()
         cid = "t.v.completeness"
@@ -290,7 +290,7 @@ class TestCompleteness:
 
         t = self._table()
         res = P.validate(
-            ray.data.from_arrow(t).repartition(5), self._spec(0.2), concurrency=2
+            ray.data.from_arrow(t).repartition(5), self._spec(0.2)
         )
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "t.v.completeness"))
@@ -307,7 +307,6 @@ class TestCompleteness:
             res = P.validate(
                 ray.data.from_arrow(t).repartition(nparts),
                 self._spec(0.05),
-                concurrency=2,
             )
             v = res.verdicts_table()
             rows = v.filter(
@@ -345,7 +344,6 @@ class TestBloomScreenRefint:
             ray.data.from_arrow(child).repartition(3),
             spec,
             parents={"parent": ray.data.from_arrow(parent)},
-            concurrency=2,
         )
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "t.fk.refint"))
@@ -388,7 +386,6 @@ class TestBloomScreenRefint:
             ray.data.from_arrow(child),
             spec,
             parents={"parent": ray.data.from_arrow(parent)},
-            concurrency=1,
         )
         v = res.verdicts_table()
         # a present key ALWAYS hits the filter: zero false alarms
@@ -418,7 +415,7 @@ class TestQuantileBounds:
                 ],
             }
         )
-        res = P.validate(ray.data.from_arrow(t).repartition(4), spec, concurrency=2)
+        res = P.validate(ray.data.from_arrow(t).repartition(4), spec)
         vt = res.verdicts_table()
         rows = vt.filter(pc.equal(vt["constraint_id"], "t.v.quantile_bounds"))
         n_viol = int(pc.sum(rows["n_violations"]).as_py())
@@ -455,7 +452,7 @@ class TestQuantileBounds:
         outs = []
         for nparts in (1, 6):
             res = P.validate(
-                ray.data.from_arrow(t).repartition(nparts), spec, concurrency=2
+                ray.data.from_arrow(t).repartition(nparts), spec
             )
             vt = res.verdicts_table()
             rows = vt.filter(

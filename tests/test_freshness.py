@@ -103,7 +103,7 @@ class TestFreshnessOp:
                 ],
             }
         )
-        res = P.validate(ray.data.from_arrow(t), spec, concurrency=2)
+        res = P.validate(ray.data.from_arrow(t), spec)
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "ev.ts.freshness"))
         assert int(pc.sum(rows["n_violations"]).as_py()) == 1
@@ -147,7 +147,7 @@ class TestFreshnessSpec:
             }
         )
         res = P.validate(
-            ray.data.from_arrow(_events()).repartition(3), spec, concurrency=2
+            ray.data.from_arrow(_events()).repartition(3), spec
         )
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "ev.ts.freshness"))
@@ -184,7 +184,7 @@ class TestFreshnessSpec:
                 ],
             }
         )
-        res = P.validate(ray.data.from_arrow(_events()), spec, concurrency=2)
+        res = P.validate(ray.data.from_arrow(_events()), spec)
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "ev.ts.freshness"))
         assert int(pc.sum(rows["n_violations"]).as_py()) == 0

@@ -159,7 +159,6 @@ class TestGroupDriftCheck:
         res = P.validate(
             ray.data.from_arrow(_corpus(seed=6)).repartition(3),
             self._spec(base),
-            concurrency=2,
         )
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], cid))
@@ -168,7 +167,6 @@ class TestGroupDriftCheck:
         res2 = P.validate(
             ray.data.from_arrow(_corpus(shift={"de": 6.0}, seed=6)).repartition(3),
             self._spec(base),
-            concurrency=2,
         )
         v2 = res2.verdicts_table()
         rows2 = v2.filter(pc.equal(v2["constraint_id"], cid))

@@ -86,7 +86,6 @@ class TestSelfConsistency:
         res = P.validate(
             ray.data.read_parquet(f"{SF}/{table}.parquet"),
             compile_table_spec(spec_dict),
-            concurrency=2,
         )
         v = res.verdicts_table()
         assert int(pc.sum(v["n_violations"]).as_py() or 0) == 0
@@ -112,7 +111,7 @@ class TestSelfConsistency:
                 "status": pa.array(["A", "Z"], type=pa.string()),  # not in enum
             }
         )
-        res = P.validate(ray.data.from_arrow(drifted), spec, concurrency=1)
+        res = P.validate(ray.data.from_arrow(drifted), spec)
         v = res.verdicts_table()
         bad = {
             r["constraint_id"]
@@ -206,7 +205,7 @@ class TestInferredCompleteness:
         assert spec["columns"]["ok"]["required"] is True
         # self-consistency: the data sits AT the threshold -> clean
         res = P.validate(
-            ray.data.from_arrow(t), compile_table_spec(spec), concurrency=1
+            ray.data.from_arrow(t), compile_table_spec(spec)
         )
         vt = res.verdicts_table()
         assert int(pc.sum(vt["n_violations"]).as_py() or 0) == 0
@@ -218,7 +217,7 @@ class TestInferredCompleteness:
             }
         )
         res2 = P.validate(
-            ray.data.from_arrow(worse), compile_table_spec(spec), concurrency=1
+            ray.data.from_arrow(worse), compile_table_spec(spec)
         )
         vt2 = res2.verdicts_table()
         comp = vt2.filter(pc.equal(vt2["constraint_id"], "t.v.completeness"))

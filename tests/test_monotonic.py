@@ -138,7 +138,7 @@ class TestMonotonicSpec:
                 ],
             }
         )
-        res = P.validate(ray.data.from_arrow(t).repartition(5), spec, concurrency=2)
+        res = P.validate(ray.data.from_arrow(t).repartition(5), spec)
         v = res.verdicts_table()
         cid = "t.v.monotonic"
         rows = v.filter(pc.equal(v["constraint_id"], cid))
@@ -173,7 +173,7 @@ class TestMonotonicSpec:
                 ],
             }
         )
-        res = P.validate(ray.data.from_arrow(t).repartition(2), spec, concurrency=2)
+        res = P.validate(ray.data.from_arrow(t).repartition(2), spec)
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "t.v.monotonic"))
         assert int(pc.sum(rows["n_violations"]).as_py()) == 0
@@ -193,7 +193,7 @@ class TestMonotonicSpec:
                 ],
             }
         )
-        res2 = P.validate(ray.data.from_arrow(t).repartition(2), spec2, concurrency=2)
+        res2 = P.validate(ray.data.from_arrow(t).repartition(2), spec2)
         v2 = res2.verdicts_table()
         rows2 = v2.filter(pc.equal(v2["constraint_id"], "t.v.monotonic"))
         assert int(pc.sum(rows2["n_violations"]).as_py()) == 1

@@ -111,10 +111,10 @@ def test_drift_fires_on_shift_and_not_on_clean(ray_session):
             }
         ],
     }
-    res_clean = P.validate(clean, spec, concurrency=2)
+    res_clean = P.validate(clean, spec)
     assert res_clean.passed(), res_clean.verdicts_table().to_pandas()
 
-    res_drift = P.validate(_drifted_corpus(n), spec, concurrency=2)
+    res_drift = P.validate(_drifted_corpus(n), spec)
     vt = res_drift.violations_table().to_pandas()
     assert (vt.constraint_id == "corpus.drift.content").any()  # KS on length
     assert (vt.constraint_id == "corpus.drift.lang").any()  # PSI on lang

@@ -119,7 +119,6 @@ class TestReconcileSpec:
                 ray.data.from_arrow(accounts).repartition(4),
                 self._spec(),
                 parents={"entries": src},
-                concurrency=2,
             )
             v = res.verdicts_table()
             rows = v.filter(
@@ -149,7 +148,6 @@ class TestReconcileSpec:
             ray.data.from_arrow(accounts),
             self._spec(missing_other="ignore"),
             parents={"entries": entries},
-            concurrency=2,
         )
         v = res.verdicts_table()
         rows = v.filter(pc.equal(v["constraint_id"], "accounts.balance.reconcile"))
@@ -165,4 +163,4 @@ class TestReconcileSpec:
              "part": pa.array([0], type=pa.int64())}
         )
         with pytest.raises(ValueError, match="parents"):
-            P.validate(ray.data.from_arrow(accounts), self._spec(), concurrency=2)
+            P.validate(ray.data.from_arrow(accounts), self._spec())

@@ -88,7 +88,6 @@ def run_resumable(
     *,
     parents: dict | None = None,
     resume: bool = True,
-    concurrency: int | tuple[int, int] = (1, 8),
     pipeline_width: int = 3,
     speculate_factor: float | None = None,
     speculate_min_done: int = 3,
@@ -134,7 +133,7 @@ def run_resumable(
         t0 = time.monotonic()
         with create_lock:
             ds = partitions[pid]()
-        res = validate(ds, cs, parents=parents, concurrency=concurrency)
+        res = validate(ds, cs, parents=parents)
         viol = res.violations_table()
         verd = res.verdicts_table()
         for kind, table in (("violations", viol), ("verdicts", verd)):

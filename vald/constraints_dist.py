@@ -486,8 +486,9 @@ def fused_unique_results(
     dists: list[DistCheck],
     max_candidate_broadcast: int = 5_000_000,
 ) -> "ray.data.Dataset":
-    """B4 HASH-FIRST uniqueness (opt-in, ``params["unique_strategy"] =
-    "hash_first"``): consumes the unique partial rows the row pass
+    """B4 HASH-FIRST uniqueness (opt-in: set ``params["unique_strategy"]
+    = "hash_first"`` on a compiled unique DistCheck; specs do not expose
+    it): consumes the unique partial rows the row pass
     emitted (``rec == "unique"``) and keeps the heavy key strings OUT of
     the first exchange:
 
@@ -1515,9 +1516,11 @@ def cardinality_check_results(
     Trade: without ``group_by`` the whole table is one group, so every
     batch's locally-distinct values go to ONE fold task (bounded by the
     column's distinct count, not the row count). Hashing on (group,
-    value) with a second credit fold would spread that, but measured
-    ~1 s slower per validate() (2k-row benchmark corpus, Ray at
-    num_cpus=2, 4-core VM).
+    value) with a second credit fold would spread that; it measured
+    ~1 s slower per validate() on the benchmark's GROUPED check (``lang``
+    by ``repo``, 2k-row corpus, Ray at num_cpus=2, 4-core VM). The
+    whole-table mode's single task has not been measured at a size
+    where it matters.
     validate() computes the partials in its row pass; this function
     runs them over ``ds`` on their own."""
     return _standalone(ds, cs, dist)

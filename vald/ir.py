@@ -317,6 +317,10 @@ _REQUIRED_PARAMS = {
     "cardinality": ("column",),
 }
 
+# Kinds folded in validate()'s one shared exchange, split by
+# constraint_id (the keys of constraints_dist.FUSED_KINDS).
+_SHARED_EXCHANGE_KINDS = ("unique", "fd", "completeness", "cardinality")
+
 
 def compile_table_spec(spec: dict) -> ConstraintSet:
     """Compile a declarative table spec into a ConstraintSet.
@@ -355,6 +359,13 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
         cs.row_checks.extend(_compile_column(table, col, colspec))
 
     counters: dict[str, int] = {}
+
+    def next_id(base: str) -> str:
+        # default ids repeat on repeated checks: the 2nd gets ".1", ...
+        n = counters.get(base, 0)
+        counters[base] = n + 1
+        return base if n == 0 else f"{base}.{n}"
+
     for i, chk in enumerate(spec.get("checks", [])):
         kind = chk.get("kind")
         # fused kinds run inside Ray tasks: a missing parameter must fail
@@ -377,10 +388,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             )
         elif kind in ("compare", "implies", "pair_in_set"):
             col = chk.get("column") or chk.get("id") or kind
-            base = f"{table}.{col}.{kind}"
-            n = counters.get(base, 0)
-            counters[base] = n + 1
-            cid = base if n == 0 else f"{base}.{n}"
+            cid = next_id(f"{table}.{col}.{kind}")
             cs.row_checks.append(
                 CompiledCheck(
                     constraint_id=chk.get("constraint_id", cid),
@@ -392,15 +400,11 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             )
         elif kind == "unique":
             cols = chk["columns"]
-            cid = chk.get("constraint_id", f"{table}.{'_'.join(cols)}.unique")
-            params = {
-                "columns": cols,
-                "num_buckets": chk.get("num_buckets", 256),
-                # "full" (the shared exchange) | "hash_first"
-                "unique_strategy": chk.get("unique_strategy", "full"),
-            }
+            cid = chk.get("constraint_id") or next_id(
+                f"{table}.{'_'.join(cols)}.unique"
+            )
             cs.dist_checks.append(
-                DistCheck(cid, "unique", params, chk.get("severity", "error"))
+                DistCheck(cid, "unique", {"columns": cols}, chk.get("severity", "error"))
             )
         elif kind == "refint":
             cols = chk["columns"]
@@ -452,9 +456,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             # null-rate threshold (Deequ "completeness >= c"): the
             # column may hold nulls up to max_null_rate of checked rows
             col = chk["column"]
-            cid = chk.get(
-                "constraint_id", f"{table}.{col}.completeness"
-            )
+            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.completeness")
             cs.dist_checks.append(
                 DistCheck(
                     cid,
@@ -495,9 +497,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
                 raise SpecError(
                     f"checks[{i}]: cardinality check needs min_distinct and/or max_distinct"
                 )
-            cid = chk.get(
-                "constraint_id", f"{table}.{col}.cardinality"
-            )
+            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.cardinality")
             cs.dist_checks.append(
                 DistCheck(
                     cid,
@@ -572,8 +572,8 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             cols = chk["columns"]
             cols = [cols] if isinstance(cols, str) else list(cols)
             dep = chk["dependent"]
-            cid = chk.get(
-                "constraint_id", f"{table}.{'_'.join(cols)}->{dep}.fd"
+            cid = chk.get("constraint_id") or next_id(
+                f"{table}.{'_'.join(cols)}->{dep}.fd"
             )
             cs.dist_checks.append(
                 DistCheck(
@@ -613,6 +613,14 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             )
         else:
             raise SpecError(f"unknown check kind {kind!r}")
+    # two shared-exchange checks with one id would have their partials
+    # merged and folded under one check's params
+    seen: set[str] = set()
+    for d in cs.dist_checks:
+        if d.kind in _SHARED_EXCHANGE_KINDS:
+            if d.constraint_id in seen:
+                raise SpecError(f"duplicate constraint_id {d.constraint_id!r}")
+            seen.add(d.constraint_id)
     return cs
 
 

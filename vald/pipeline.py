@@ -792,7 +792,6 @@ def validate(
     spec: dict | ConstraintSet,
     *,
     parents: dict[str, "ray.data.Dataset | pa.Table | list"] | None = None,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int | None = DEFAULT_BATCH_SIZE,
     materialize: bool = True,
     out_dir: str | None = None,
@@ -804,9 +803,8 @@ def validate(
     completeness come out of that pass; the four fused kinds are then
     decided in one shared exchange (constraints_dist.fused_exchange).
     drift, group_drift, freshness, monotonic, reconcile and
-    quantile_bounds still read ``ds`` themselves. ``concurrency`` is
-    accepted for call-site compatibility and does not change the plan:
-    the row pass runs as elastic tasks.
+    quantile_bounds still read ``ds`` themselves. The row pass runs as
+    elastic tasks.
 
     ``parents`` maps refint parent_table name → its key source (Dataset /
     Arrow table / list of keys). The planner picks the B5 execution path

@@ -331,7 +331,7 @@ def q_quantile_bounds(sf_dir: str):
         }
     )
     res = P.validate(
-        _read(sf_dir, "lineitem", ["l_extendedprice"]), spec, concurrency=2
+        _read(sf_dir, "lineitem", ["l_extendedprice"]), spec
     )
     v = res.verdicts_table()
     return pa.table(
@@ -369,7 +369,7 @@ def q_completeness(sf_dir: str):
             ],
         }
     )
-    res = P.validate(_read(sf_dir, "orders", ["o_custkey"]), spec, concurrency=2)
+    res = P.validate(_read(sf_dir, "orders", ["o_custkey"]), spec)
     v = res.verdicts_table()
     n = int(pc.sum(v["n_checked"]).as_py() or 0)
     flagged = int(pc.sum(v["n_violations"]).as_py() or 0)
@@ -870,7 +870,7 @@ def q_corpus_verdicts(sf_dir: str):
 
     ds = C.corpus_dataset(_CORPUS_N, 42, override_num_blocks=16)
     res = P.validate(
-        ds, C.CORPUS_SPEC, parents={"repos": C.repos_table(_CORPUS_N, 42)}, concurrency=4
+        ds, C.CORPUS_SPEC, parents={"repos": C.repos_table(_CORPUS_N, 42)}
     )
     return res.verdicts_table()
 
@@ -882,7 +882,7 @@ def q_corpus_violations(sf_dir: str):
 
     ds = C.corpus_dataset(_CORPUS_N, 42, override_num_blocks=16)
     res = P.validate(
-        ds, C.CORPUS_SPEC, parents={"repos": C.repos_table(_CORPUS_N, 42)}, concurrency=4
+        ds, C.CORPUS_SPEC, parents={"repos": C.repos_table(_CORPUS_N, 42)}
     )
     return res.violations_table()
 
