@@ -1,6 +1,9 @@
-"""B5 anti-join refint path + B8 salted rollups — the alternate
-distributed strategies not exercised by the flagship (which uses the
-broadcast path)."""
+"""The distributed strategies the flagship run does not take: the B5
+large-parent refint anti-join and its parity with the broadcast route
+(counts, NULL key parts), B8 salted rollups, bucketed_group_agg, and
+the single input read of validate()."""
+
+import copy
 
 import numpy as np
 import pyarrow as pa
@@ -11,29 +14,69 @@ import ray.data
 
 from vald import constraints_dist as cd
 from vald import corpus as C
-from vald.ir import compile_table_spec
+from vald import pipeline as P
 
 
 def test_refint_anti_join_matches_broadcast_counts(ray_session):
     n = 4000
-    cs = compile_table_spec(C.CORPUS_SPEC)
-    dist = [d for d in cs.dist_checks if d.kind == "refint"][0]
-    child = C.corpus_dataset(n, 42, override_num_blocks=4)
-    parent = ray.data.from_arrow(C.repos_table(n, 42))
-    out = cd.refint_anti_join_results(child, parent, cs, dist).to_pandas()
-
-    partials = out[~out.is_violation]
-    viols = out[out.is_violation]
+    spec = copy.deepcopy(C.CORPUS_SPEC)
+    for ch in spec["checks"]:
+        if ch.get("kind") == "refint":
+            ch["strategy"] = "anti_join"
+    res = P.validate(
+        C.corpus_dataset(n, 42, override_num_blocks=4),
+        spec,
+        parents={"repos": ray.data.from_arrow(C.repos_table(n, 42))},
+    )
+    cid = "corpus.repo.refint"
+    verd = res.verdicts_table().to_pandas()
+    verd = verd[verd.constraint_id == cid]
+    viols = res.violations_table().to_pandas()
+    viols = viols[viols.constraint_id == cid]
     # ghost repos injected at slot 6 (~0.1%): violations exist and the
     # violation count equals the number of slot-6 rows
     idx = np.arange(n, dtype=np.uint64)
     slots = C._slots(idx, 42)
     n_ghost_rows = int((slots == 6).sum())
-    assert partials.n_violations.sum() == n_ghost_rows
+    assert n_ghost_rows > 0
+    assert verd.n_violations.sum() == n_ghost_rows
     assert (viols.observed.astype(int).sum()) == n_ghost_rows
     assert all(r.startswith("ghost/") for r in viols.row_ref)
     # n_checked covers every non-null child key
-    assert partials.n_checked.sum() == n
+    assert verd.n_checked.sum() == n
+
+
+@pytest.mark.parametrize("parent_kind", ["table", "dataset", "list"])
+@pytest.mark.parametrize("strategy", ["broadcast", "anti_join"])
+def test_refint_null_parent_key_part_matches_nothing(ray_session, strategy, parent_kind):
+    """A parent key with a NULL part matches no child key on any route:
+    the parent ("r", NULL) does not cover the child ("r", "None")."""
+    parent = pa.table({"repo": ["r", "r"], "ver": [None, "1"]})
+    src = {
+        "table": parent,
+        "dataset": ray.data.from_arrow(parent),
+        "list": [("r", None), ("r", "1")],
+    }[parent_kind]
+    child = pa.table({"id": [1, 2], "repo": ["r", "r"], "ver": ["None", "1"]})
+    spec = {
+        "table": "t",
+        "row_ref": ["id"],
+        "columns": {},
+        "checks": [
+            {
+                "kind": "refint",
+                "columns": ["repo", "ver"],
+                "parent_table": "p",
+                "parent_columns": ["repo", "ver"],
+                "strategy": strategy,
+                "constraint_id": "t.refint",
+            }
+        ],
+    }
+    res = P.validate(ray.data.from_arrow(child), spec, parents={"p": src})
+    verd = res.verdicts_table().to_pandas()
+    assert (verd.n_checked.sum(), verd.n_violations.sum()) == (2, 1)
+    assert len(res.violations_table()) == 1
 
 
 def test_salted_group_counts(ray_session):
@@ -60,10 +103,6 @@ def test_validate_routes_refint_through_anti_join(ray_session):
     """VERDICT r1 item 3: validate() must reach the fused anti-join path
     (strategy forced AND auto-threshold), with verdicts identical to the
     broadcast path."""
-    import copy
-
-    from vald import pipeline as P
-
     n = 6000
     parents_tbl = C.repos_table(n, 42)
 
@@ -97,62 +136,6 @@ def test_validate_routes_refint_through_anti_join(ray_session):
     assert base.equals(auto)
 
 
-def test_fused_unique_hash_first_matches_full_fallback(ray_session):
-    """r2 hash-first uniqueness (opt-in light shuffle + candidate
-    refinement) must produce identical verdicts AND violations to the
-    default ref-carrying full shuffle, on a dup-heavy corpus — and so
-    must its extreme-duplication fallback. Specs do not expose the
-    strategy; it is set on the compiled unique check."""
-    from vald import constraints_dist as cd
-    from vald import pipeline as P
-
-    n = 8000
-
-    def run(strategy=None, max_cand=5_000_000):
-        spec = compile_table_spec(C.CORPUS_SPEC)
-        if strategy:
-            for d in spec.dist_checks:
-                if d.kind == "unique":
-                    d.params["unique_strategy"] = strategy
-        orig = cd.fused_unique_results
-
-        def patched(raw, cs, dists, max_candidate_broadcast=max_cand):
-            return orig(raw, cs, dists, max_candidate_broadcast=max_cand)
-
-        cd.fused_unique_results = patched
-        try:
-            res = P.validate(
-                C.corpus_dataset(n, 42, override_num_blocks=4),
-                spec,
-                parents={"repos": C.repos_table(n, 42)},
-            )
-            verd = (
-                res.verdicts_table()
-                .to_pandas()
-                .sort_values(["constraint_id", "partition_id"])
-                .reset_index(drop=True)
-            )
-            viol = (
-                res.violations_table()
-                .to_pandas()
-                .sort_values(["constraint_id", "row_ref", "column"])
-                .reset_index(drop=True)
-            )
-            return verd, viol
-        finally:
-            cd.fused_unique_results = orig
-
-    verd_full, viol_full = run()  # default: full shuffle
-    verd_hash, viol_hash = run("hash_first")
-    verd_fb, viol_fb = run("hash_first", max_cand=0)  # forced fallback
-    assert verd_hash.equals(verd_full)
-    assert viol_hash.equals(viol_full)
-    assert verd_fb.equals(verd_full)
-    assert viol_fb.equals(viol_full)
-    dup = verd_full[verd_full.constraint_id == "corpus.key.unique"]
-    assert dup["n_violations"].sum() > 0
-
-
 # completeness, cardinality and fd: the dataset-level kinds that share
 # the row pass and the unique exchange
 _EXTRA_CHECKS = [
@@ -178,8 +161,6 @@ class _Counter:
 def test_validate_reads_input_once(ray_session, extra):
     """validate() calls the input's last map exactly once per block: the
     fused kinds ride the row pass instead of re-reading the input."""
-    from vald import pipeline as P
-
     n = 2000
     ds = C.corpus_dataset(n, 42, override_num_blocks=7).materialize()
     counter = _Counter.remote()

@@ -49,12 +49,16 @@ def test_element_constraints(ray_session):
                 [["ok", "fine"], ["ok", "x"], [], None],
                 type=pa.list_(pa.string()),
             ),
+            "note": pa.array([None] * 4, type=pa.string()),
         }
     )
     spec = {
         "table": "docs",
         "row_ref": ["id"],
-        "columns": {"tags": {"elements": {"minLength": 2, "pattern": "^[a-z]+$"}}},
+        "columns": {
+            "tags": {"elements": {"minLength": 2, "pattern": "^[a-z]+$"}},
+            "note": {"pattern": "^[a-z]+$"},
+        },
     }
     res = P.validate(ray.data.from_arrow(t), spec)
     v = res.violations_table().to_pandas()
@@ -63,6 +67,9 @@ def test_element_constraints(ray_session):
     row = verd[verd.constraint_id == "docs.tags.elements"]
     assert row.n_checked.sum() == 3  # null list not checked
     assert row.n_violations.sum() == 1
+    # an all-NULL column checks nothing but still gets its verdict row
+    row = verd[verd.constraint_id == "docs.note.pattern"]
+    assert (len(row), row.n_checked.sum(), row.n_violations.sum()) == (1, 0, 0)
 
 
 def test_schema_congruence(ray_session):
@@ -83,6 +90,12 @@ def test_schema_congruence(ray_session):
     # number accepts integer
     spec2 = {"table": "t", "columns": {}, "declared_schema": {"a": "number"}}
     assert P.validate(ray.data.from_arrow(t), spec2).passed()
+    # an empty declaration checks nothing but still yields one verdict row
+    spec3 = {"table": "t", "columns": {}, "declared_schema": {}}
+    verd = P.validate(ray.data.from_arrow(t), spec3).verdicts_table().to_pandas()
+    assert verd[["constraint_id", "n_checked", "n_violations"]].values.tolist() == [
+        ["t.__schema__.congruence", 0, 0]
+    ]
 
 
 def test_permutation_invariance(ray_session):

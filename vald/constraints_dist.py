@@ -1,11 +1,14 @@
 """Distributed constraints: the fused dataset-level kinds (uniqueness
 B4, functional dependency, distinct cardinality, completeness),
-referential integrity at scale (B5 anti-join path), drift (B9), the
-kinds that still read the input themselves (freshness, monotonic,
-reconcile, quantile bounds) and salting helpers (B8).
+referential integrity against large parents (B5 anti-join over the row
+pass's child-key partials), drift (B9), the kinds that still read the
+input themselves (freshness, monotonic, reconcile, quantile bounds) and
+salting helpers (B8).
 
-All stages emit pipeline.RESULT_SCHEMA rows so they union into the one
-result stream that validate() folds into verdicts.
+All stages emit pipeline.RESULT_SCHEMA rows, built with pipeline's
+result-row builder (``count_rows``, ``violation_rows``,
+``result_table``), so they union into the one result stream that
+validate() folds into verdicts.
 
 Fused kinds (``FUSED_KINDS``, one ``{kind: (batch partial, bucket
 fold)}`` table): a kind's *batch partial* runs inside the RowValidator
@@ -34,7 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Min, Sum
+from ray.data.aggregate import Sum
 
 from .hashing import KEY_SEP, stable_hash64
 from .ir import ConstraintSet, DistCheck
@@ -43,7 +46,6 @@ from . import pipeline as P
 __all__ = [
     "FUSED_KINDS",
     "fused_exchange",
-    "refint_anti_join_results",
     "fused_refint_anti_results",
     "drift_check_results",
     "group_drift_check_results",
@@ -81,54 +83,6 @@ def _joined(t: pa.Table, cols: list[str], null: str | None = None):
     if null is not None:
         keys = [pc.fill_null(k, null) for k in keys]
     return keys[0] if len(keys) == 1 else pc.binary_join_element_wise(*keys, KEY_SEP)
-
-
-def _cols(k: int, **cols) -> dict[str, list]:
-    """RESULT_SCHEMA columns as lists of length ``k``; a scalar value is
-    repeated, a missing column takes its default."""
-    return {
-        f.name: (
-            cols[f.name] if isinstance(cols.get(f.name), list)
-            else [cols.get(f.name, P._DEFAULTS.get(f.name))] * k
-        )
-        for f in P.RESULT_SCHEMA
-    }
-
-
-def _count_rows(cid: str, n_checked: np.ndarray, n_viol: np.ndarray, **const) -> dict:
-    """Verdict-partial rows, one per partition with a nonzero count;
-    ``n_checked``/``n_viol`` are indexed by partition id."""
-    present = np.flatnonzero((n_checked > 0) | (n_viol > 0))
-    return _cols(
-        len(present),
-        partition_id=present.tolist(),
-        constraint_id=cid,
-        n_checked=n_checked[present].astype(np.int64).tolist(),
-        n_violations=n_viol[present].astype(np.int64).tolist(),
-        **const,
-    )
-
-
-def _violation_rows(
-    cid: str, pids, refs: list, observed: list, column: str, detail: str
-) -> dict:
-    return _cols(
-        len(refs),
-        partition_id=[int(p) for p in pids],
-        constraint_id=cid,
-        row_ref=refs,
-        column=column,
-        observed=observed,
-        detail=detail,
-        is_violation=True,
-    )
-
-
-def _table(parts: list[dict]) -> pa.Table:
-    """One RESULT_SCHEMA table from ``_cols`` parts (one Arrow build)."""
-    return P.result_rows(
-        {f.name: [v for p in parts for v in p[f.name]] for f in P.RESULT_SCHEMA}
-    )
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -269,12 +223,12 @@ def _unique_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
     # a key's excess occurrences go to its first (min) partition
     n_checked = np.bincount(pids, weights=cnt, minlength=n_parts)
     excess = np.bincount(kpid, weights=kcnt - 1, minlength=n_parts)
-    out = [_count_rows(cid, n_checked, excess)]
+    out = [P.count_rows(cid, n_checked, excess)]
     dup = np.flatnonzero(kcnt > 1)
     if len(dup):
         refs = keys["row_ref"].take(dup).to_pylist()
         out.append(
-            _violation_rows(cid, kpid[dup], refs, [str(c) for c in kcnt[dup]], "", "unique")
+            P.violation_rows(cid, kpid[dup], refs, [str(c) for c in kcnt[dup]], "", "unique")
         )
     return out
 
@@ -290,7 +244,7 @@ def _fd_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
     pids, cnt = _np(g["partition_id"]), _np(g["ucnt"])
     n_parts = int(pids.max()) + 1
     out = [
-        _count_rows(
+        P.count_rows(
             cid,
             np.bincount(pids, weights=cnt, minlength=n_parts),
             np.bincount(pids[badv], weights=cnt[badv], minlength=n_parts),
@@ -302,7 +256,7 @@ def _fd_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
         # exemplar convention)
         ex = bad.slice(0, _max_rows(dist))
         out.append(
-            _violation_rows(
+            P.violation_rows(
                 cid,
                 _np(ex["partition_id_min"]),
                 ex["row_ref"].to_pylist(),
@@ -346,13 +300,13 @@ def _cardinality_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
     n_parts = int(pids.max()) + 1
     idx = np.flatnonzero(bad)[: _max_rows(dist)]
     return [
-        _count_rows(
+        P.count_rows(
             cid,
             np.bincount(pids, minlength=n_parts),
             np.bincount(pids[bad], minlength=n_parts),
             column=col,
         ),
-        _violation_rows(
+        P.violation_rows(
             cid,
             pids[idx],
             [str(grp[starts[i]]) for i in idx],
@@ -380,7 +334,7 @@ def _completeness_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
     out = [
         # the decision is on the GLOBAL rate; a partition's n_violations
         # is its own null count when the check fires
-        _count_rows(
+        P.count_rows(
             cid,
             np.bincount(pids, weights=n, minlength=n_parts),
             np.bincount(pids, weights=n_null * firing, minlength=n_parts),
@@ -393,13 +347,13 @@ def _completeness_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
         # one exemplar for the table-wide breach, attributed to the
         # partition contributing the most nulls (ties -> min pid)
         worst = [pids[int(np.argmax(n_null))]]
-        out.append(_violation_rows(cid, worst, [""], [f"{rate:.6f}"], col, detail))
+        out.append(P.violation_rows(cid, worst, [""], [f"{rate:.6f}"], col, detail))
     return out
 
 
 class FusedKind(NamedTuple):
     partial: Callable  # (batch, dist, cs, pids, refs) -> EXT partial rows
-    fold: Callable  # (one check's rows in one bucket, dist) -> [_cols parts]
+    fold: Callable  # (one check's rows in one bucket, dist) -> builder parts
     columns: tuple  # the EXT columns the fold reads (all the exchange ships)
 
 
@@ -430,7 +384,10 @@ def fused_exchange(
     split by constraint_id and folded by its kind. Buckets keep each
     kind's own rule (key hash % the check's ``num_buckets``; one bucket
     per completeness check), so every key, determinant or group is
-    decided in exactly one fold task."""
+    decided in exactly one fold task. Every fused check of validate()
+    goes through here; each fold returns builder parts
+    (``pipeline.count_rows``/``violation_rows``) and a bucket's parts
+    become one ``pipeline.result_table``."""
     by_cid = {d.constraint_id: d for d in dists}
     cid_arr = pa.array(list(by_cid), type=pa.string())
     cols = list(
@@ -451,11 +408,11 @@ def fused_exchange(
         g = g.sort_by("constraint_id")
         cids = g["constraint_id"].to_numpy(zero_copy_only=False)
         starts = _run_starts(cids)
-        out = [_cols(0)]
+        out = []
         for a, b in zip(starts, [*starts[1:], len(g)]):
             d = by_cid[cids[a]]
             out += FUSED_KINDS[d.kind].fold(g.slice(a, b - a), d)
-        return _table(out)
+        return P.result_table(out)
 
     return (
         raw.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
@@ -472,291 +429,12 @@ def _standalone(
 
     def partials(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            return P._empty_ext()
+            return P.ext_table([])
         pids = P.build_partition_ids(t, cs)
         return FUSED_KINDS[dist.kind].partial(t, dist, cs, pids, None)
 
     parts = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
     return fused_exchange(parts, [dist])
-
-
-def fused_unique_results(
-    raw: "ray.data.Dataset",
-    cs: ConstraintSet,
-    dists: list[DistCheck],
-    max_candidate_broadcast: int = 5_000_000,
-) -> "ray.data.Dataset":
-    """B4 HASH-FIRST uniqueness (opt-in: set ``params["unique_strategy"]
-    = "hash_first"`` on a compiled unique DistCheck; specs do not expose
-    it): consumes the unique partial rows the row pass
-    emitted (``rec == "unique"``) and keeps the heavy key strings OUT of
-    the first exchange:
-
-    1. **totals, no shuffle**: n_checked verdict partials come straight
-       from the partial rows (bincount by partition, weighted by ucnt).
-    2. **candidate detection, light shuffle**: only (cid-code:int8,
-       uh:uint64, ubucket:int32, ucnt:int64) ≈ 21 B/row moves through
-       the groupby — ~6× fewer bytes than shipping the canonical ref
-       strings (measured 123 B/row on the 8M corpus). Hashes with total
-       count > 1 are duplicate CANDIDATES (true dups ∪ rare collisions).
-    3. **refinement**: candidate uh sets are broadcast (ray.put) and the
-       materialized raw stream is filtered down to candidate rows only
-       (tiny: ~dup-rate × keys); a bucket groupby over THOSE carries the
-       refs and produces exact per-key counts, violation rows, and
-       n_violations partials — the ref-equality comparison here is the
-       hash-collision guard, so verdicts stay exact.
-
-    MEASURED (this sandbox, 1M@32cpu and 8M@8cpu): the hash-first
-    duplicate detection is SLOWER end-to-end than the single
-    ref-carrying shuffle (54 s vs 38-42 s at 8M/8cpu) — Ray's sort-based
-    groupby cost is dominated by ROW count, not bytes, and hash-first
-    pays a second shuffle plus two extra passes. The default therefore
-    folds uniqueness in the shared ``fused_exchange``; this path is for
-    regimes where per-row key strings are far wider than here (multi-KB
-    refs). Falls back to ``fused_exchange`` when candidates exceed
-    ``max_candidate_broadcast``.
-
-    ``raw`` must be materialized by the caller (validate does)."""
-    cid_list = [d.constraint_id for d in dists]
-    cid_arr = pa.array(cid_list, type=pa.string())
-
-    def only_keys(t: pa.Table) -> pa.Table:
-        m = pc.and_(
-            pc.equal(t["rec"], pa.scalar("unique")),
-            pc.is_in(t["constraint_id"], value_set=cid_arr),
-        )
-        return t.filter(m)
-
-    # --- 1. totals: verdict n_checked partials, no shuffle ---
-    def totals(t: pa.Table) -> pa.Table:
-        t = only_keys(t)
-        code = _np(pc.index_in(t["constraint_id"], value_set=cid_arr))
-        pids, cnt = _np(t["partition_id"]), _np(t["ucnt"])
-        out = [_cols(0)]
-        for ci, cid in enumerate(cid_list):
-            sel = code == ci
-            if sel.any():
-                n_checked = np.bincount(pids[sel], weights=cnt[sel])
-                out.append(_count_rows(cid, n_checked, np.zeros_like(n_checked)))
-        return _table(out)
-
-    totals_ds = raw.map_batches(totals, batch_format="pyarrow", zero_copy_batch=True)
-
-    # --- 2. light candidate shuffle: hashes only ---
-    def light(t: pa.Table) -> pa.Table:
-        t = only_keys(t)
-        code = pc.cast(
-            pc.index_in(t["constraint_id"], value_set=cid_arr), pa.int8()
-        )
-        return pa.table(
-            {
-                "cidc": code,
-                "uh": t["uh"],
-                "ubucket": t["ubucket"],
-                "ucnt": t["ucnt"],
-            }
-        )
-
-    def cand_bucket(g: pa.Table) -> pa.Table:
-        agg = g.group_by(["cidc", "uh"], use_threads=False).aggregate(
-            [("ucnt", "sum")]
-        )
-        agg = agg.rename_columns(["cidc", "uh", "cnt"])
-        return agg.filter(pc.greater(agg["cnt"], pa.scalar(1))).select(
-            ["cidc", "uh"]
-        )
-
-    cands = (
-        raw.map_batches(light, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ubucket")
-        .map_groups(cand_bucket, batch_format="pyarrow")
-        .materialize()
-    )
-    n_cand = cands.count()
-    if n_cand == 0:
-        return totals_ds
-    if n_cand > max_candidate_broadcast:
-        # extreme-duplication fallback: ship refs through the shuffle
-        return fused_exchange(raw, dists)
-
-    cand_t = pa.concat_tables(
-        [p for p in ray.get(cands.to_arrow_refs()) if len(p)]
-    )
-    cand_sets: dict[int, pa.Array] = {}
-    codes = _np(cand_t["cidc"])
-    uhs = cand_t["uh"].combine_chunks()
-    for ci in range(len(cid_list)):
-        sel = np.flatnonzero(codes == ci)
-        if len(sel):
-            cand_sets[ci] = uhs.take(pa.array(sel, type=pa.int64()))
-    cand_ref = ray.put(cand_sets)
-
-    # --- 3. refinement: candidate rows only, WITH refs ---
-    def refine_filter(t: pa.Table) -> pa.Table:
-        t = only_keys(t)
-        sets = ray.get(cand_ref)
-        code_np = _np(pc.index_in(t["constraint_id"], value_set=cid_arr))
-        mask = np.zeros(len(t), dtype=bool)
-        for ci, uh_set in sets.items():
-            m = pc.fill_null(pc.is_in(t["uh"], value_set=uh_set), False)
-            mask |= _np(m, bool) & (code_np == ci)
-        return t.filter(pa.array(mask)).select(
-            ["constraint_id", "uh", "ubucket", "row_ref", "partition_id", "ucnt"]
-        )
-
-    def refine_bucket(g: pa.Table) -> pa.Table:
-        out = [_cols(0)]
-        for cid in sorted(pc.unique(g["constraint_id"]).to_pylist()):
-            rows = g.filter(pc.equal(g["constraint_id"], pa.scalar(cid)))
-            keys = rows.group_by(["uh", "row_ref"], use_threads=False).aggregate(
-                [("partition_id", "min"), ("ucnt", "sum")]
-            )
-            kpid, kcnt = _np(keys["partition_id_min"]), _np(keys["ucnt_sum"])
-            dup = np.flatnonzero(kcnt > 1)
-            # n_violations partials per partition: excess occurrences
-            excess = np.bincount(kpid[dup], weights=kcnt[dup] - 1)
-            out.append(_count_rows(cid, np.zeros_like(excess), excess))
-            out.append(
-                _violation_rows(
-                    cid,
-                    kpid[dup],
-                    keys["row_ref"].take(dup).to_pylist(),
-                    [str(c) for c in kcnt[dup]],
-                    "",
-                    "unique",
-                )
-            )
-        return _table(out)
-
-    refined = (
-        raw.map_batches(refine_filter, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ubucket")
-        .map_groups(refine_bucket, batch_format="pyarrow")
-    )
-    return totals_ds.union(refined)
-
-
-def refint_anti_join_results(
-    child: "ray.data.Dataset",
-    parent: "ray.data.Dataset",
-    cs: ConstraintSet,
-    dist: DistCheck,
-    num_partitions: int | None = None,
-) -> "ray.data.Dataset":
-    """B5 large-parent path: native hash-partitioned ``left_anti`` join
-    (Ray 2.49.2 ``Dataset.join``, JoinType left_anti verified) on
-    pre-aggregated child keys. Used when the parent key set is too big
-    to broadcast; the broadcast path lives in RowValidator.
-
-    Child keys are pre-aggregated per batch (key, partition_id, cnt)
-    before the join, so the exchange moves distinct keys, not rows.
-    """
-    cols = list(dist.params["columns"])
-    pcols = list(dist.params.get("parent_columns", cols))
-    cid = dist.constraint_id
-    from .runtime import join_barrier, join_partitions, join_remote_args
-
-    P_parts = join_partitions(num_partitions or cs.num_partitions)
-
-    def pre(t: pa.Table) -> pa.Table:
-        pids = P.build_partition_ids(t, cs)
-        small = t.select(cols).append_column("partition_id", pa.array(pids, type=pa.int32()))
-        # refint never checks null keys — drop them before the shuffle
-        valid = np.ones(len(t), dtype=bool)
-        for c in cols:
-            valid &= ~np.asarray(pc.is_null(t[c]).to_numpy(zero_copy_only=False), dtype=bool)
-        small = small.filter(pa.array(valid))
-        small = small.append_column("cnt", pa.array(np.ones(len(small), dtype=np.int64)))
-        agg = small.group_by(cols, use_threads=False).aggregate(
-            [("partition_id", "min"), ("cnt", "sum")]
-        )
-        return agg.rename_columns(cols + ["partition_id", "cnt"])
-
-    child_keys = child.map_batches(
-        pre, batch_format="pyarrow", zero_copy_batch=True, batch_size=16384
-    )
-    child_keys = child_keys.groupby(cols).aggregate(
-        Sum("cnt", alias_name="cnt"), Min("partition_id", alias_name="partition_id")
-    )
-    parent_keys = parent.select_columns(pcols)
-    # join_barrier: child_keys is a groupby output — see runtime.join_barrier
-    missing = join_barrier(child_keys).join(
-        parent_keys,
-        join_type="left_anti",
-        num_partitions=P_parts,
-        on=tuple(cols),
-        right_on=tuple(pcols) if pcols != cols else None,
-        aggregator_ray_remote_args=join_remote_args(),
-    )
-
-    # total checked = all child non-null keys; computed from child_keys
-    def totals(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return P._empty_result()
-        valid = np.ones(len(t), dtype=bool)
-        for c in cols:
-            valid &= ~np.asarray(pc.is_null(t[c]).to_numpy(zero_copy_only=False), dtype=bool)
-        cnt = np.asarray(t["cnt"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        pids = np.asarray(t["partition_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        out: dict[str, list] = {k.name: [] for k in P.RESULT_SCHEMA}
-        for pid in np.unique(pids):
-            sel = (pids == pid) & valid
-            out["partition_id"].append(int(pid))
-            out["constraint_id"].append(cid)
-            out["row_ref"].append("")
-            out["column"].append("")
-            out["observed"].append("")
-            out["detail"].append("")
-            out["is_violation"].append(False)
-            out["n_checked"].append(int(cnt[sel].sum()))
-            out["n_violations"].append(0)
-        return P.result_rows(out)
-
-    def missing_rows(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return P._empty_result()
-        valid = np.ones(len(t), dtype=bool)
-        for c in cols:
-            valid &= ~np.asarray(pc.is_null(t[c]).to_numpy(zero_copy_only=False), dtype=bool)
-        t = t.filter(pa.array(valid))
-        if len(t) == 0:
-            return P._empty_result()
-        refs = _key_ref(t, cols, cs)
-        cnt = np.asarray(t["cnt"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        pids = np.asarray(
-            t["partition_id"].to_numpy(zero_copy_only=False), dtype=np.int64
-        )
-        out: dict[str, list] = {k.name: [] for k in P.RESULT_SCHEMA}
-        # per-partition n_violations via one bincount (same formulation
-        # as fused_refint_anti_results, VERDICT r2 item 7)
-        nv = np.bincount(pids, weights=cnt, minlength=int(pids.max()) + 1)
-        present = np.flatnonzero(nv > 0)
-        kp = len(present)
-        out["partition_id"].extend(present.tolist())
-        out["constraint_id"].extend([cid] * kp)
-        out["row_ref"].extend([""] * kp)
-        out["column"].extend([""] * kp)
-        out["observed"].extend([""] * kp)
-        out["detail"].extend([""] * kp)
-        out["is_violation"].extend([False] * kp)
-        out["n_checked"].extend([0] * kp)
-        out["n_violations"].extend(nv[present].astype(np.int64).tolist())
-        colnames = ",".join(cols)
-        for i in range(len(t)):
-            out["partition_id"].append(int(pids[i]))
-            out["constraint_id"].append(cid)
-            out["row_ref"].append(refs[i])
-            out["column"].append(colnames)
-            out["observed"].append(str(int(cnt[i])))
-            out["detail"].append("refint")
-            out["is_violation"].append(True)
-            out["n_checked"].append(0)
-            out["n_violations"].append(0)
-        return P.result_rows(out)
-
-    return child_keys.map_batches(totals, batch_format="pyarrow").union(
-        missing.map_batches(missing_rows, batch_format="pyarrow")
-    )
 
 
 def fused_refint_anti_results(
@@ -804,24 +482,9 @@ def fused_refint_anti_results(
         # verdict n_checked partials straight from the (pre-distinct)
         # partials — sums are exact, no shuffle needed
         if len(t) == 0:
-            return P._empty_result()
-        pids = np.asarray(t["partition_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        cnt = np.asarray(t["ucnt"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        Pmax = int(pids.max()) + 1 if len(pids) else 1
-        n_checked = np.bincount(pids, weights=cnt, minlength=Pmax)
-        present = np.flatnonzero(n_checked > 0)
-        kp = len(present)
-        out: dict[str, list] = {k.name: [] for k in P.RESULT_SCHEMA}
-        out["partition_id"].extend(present.tolist())
-        out["constraint_id"].extend([cid] * kp)
-        out["row_ref"].extend([""] * kp)
-        out["column"].extend([""] * kp)
-        out["observed"].extend([""] * kp)
-        out["detail"].extend([""] * kp)
-        out["is_violation"].extend([False] * kp)
-        out["n_checked"].extend(n_checked[present].astype(np.int64).tolist())
-        out["n_violations"].extend([0] * kp)
-        return P.result_rows(out)
+            return P.result_table([])
+        n_checked = np.bincount(_np(t["partition_id"]), weights=_np(t["ucnt"]))
+        return P.result_table([P.count_rows(cid, n_checked, np.zeros_like(n_checked))])
 
     totals_ds = keys.map_batches(totals, batch_format="pyarrow")
 
@@ -857,35 +520,22 @@ def fused_refint_anti_results(
 
     def missing_rows(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            return P._empty_result()
-        pids = np.asarray(t["partition_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        cnt = np.asarray(t["cnt"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        refs = t["ref"].to_pylist()
-        out: dict[str, list] = {k.name: [] for k in P.RESULT_SCHEMA}
-        Pmax = int(pids.max()) + 1 if len(pids) else 1
-        n_bad = np.bincount(pids, weights=cnt, minlength=Pmax)
-        present = np.flatnonzero(n_bad > 0)
-        kp = len(present)
-        out["partition_id"].extend(present.tolist())
-        out["constraint_id"].extend([cid] * kp)
-        out["row_ref"].extend([""] * kp)
-        out["column"].extend([""] * kp)
-        out["observed"].extend([""] * kp)
-        out["detail"].extend([""] * kp)
-        out["is_violation"].extend([False] * kp)
-        out["n_checked"].extend([0] * kp)
-        out["n_violations"].extend(n_bad[present].astype(np.int64).tolist())
-        for i in range(len(t)):
-            out["partition_id"].append(int(pids[i]))
-            out["constraint_id"].append(cid)
-            out["row_ref"].append(refs[i])
-            out["column"].append(",".join(cols))
-            out["observed"].append(str(int(cnt[i])))
-            out["detail"].append("refint")
-            out["is_violation"].append(True)
-            out["n_checked"].append(0)
-            out["n_violations"].append(0)
-        return P.result_rows(out)
+            return P.result_table([])
+        pids, cnt = _np(t["partition_id"]), _np(t["cnt"])
+        n_bad = np.bincount(pids, weights=cnt)
+        return P.result_table(
+            [
+                P.count_rows(cid, np.zeros_like(n_bad), n_bad),
+                P.violation_rows(
+                    cid,
+                    pids,
+                    t["ref"].to_pylist(),
+                    [str(c) for c in cnt],
+                    ",".join(cols),
+                    "refint",
+                ),
+            ]
+        )
 
     return totals_ds.union(missing.map_batches(missing_rows, batch_format="pyarrow"))
 
@@ -951,9 +601,7 @@ def quantile_bounds_check_results(
     lo_q = float(dist.params["lower_q"])
     hi_q = float(dist.params["upper_q"])
     cid = dist.constraint_id
-    max_rows = int(
-        dist.params.get("max_violation_rows") or P.DEFAULT_MAX_VIOLATIONS_PER_BATCH
-    )
+    max_rows = _max_rows(dist)
 
     pruned_cols = list(
         dict.fromkeys([col] + _pid_cols(cs) + list(cs.row_ref_cols or []))
@@ -970,7 +618,7 @@ def quantile_bounds_check_results(
 
     def flag(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            return P._empty_result()
+            return P.result_table([])
         pids = np.asarray(P.build_partition_ids(t, cs), dtype=np.int64)
         v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
         checked = ~np.isnan(v)
@@ -982,40 +630,29 @@ def quantile_bounds_check_results(
         Pmax = int(pids.max()) + 1
         n_checked = np.bincount(pids[checked], minlength=Pmax)
         n_viol = np.bincount(pids[bad], minlength=Pmax)
-        present = np.flatnonzero(n_checked > 0)
-        out: dict[str, list] = {k.name: [] for k in P.RESULT_SCHEMA}
-        kp = len(present)
-        out["partition_id"].extend(present.tolist())
-        out["constraint_id"].extend([cid] * kp)
-        out["row_ref"].extend([""] * kp)
-        out["column"].extend([col] * kp)
-        out["observed"].extend([f"[{lo},{hi}]"] * kp)
-        out["detail"].extend([f"q[{lo_q},{hi_q}]"] * kp)
-        out["is_violation"].extend([False] * kp)
-        out["n_checked"].extend(n_checked[present].astype(np.int64).tolist())
-        out["n_violations"].extend(n_viol[present].astype(np.int64).tolist())
+        out = [
+            P.count_rows(
+                cid,
+                n_checked,
+                n_viol,
+                column=col,
+                observed=f"[{lo},{hi}]",
+                detail=f"q[{lo_q},{hi_q}]",
+            )
+        ]
         idx = np.flatnonzero(bad)[:max_rows]
         if len(idx):
-            ref = P.build_row_ref(t, cs)
-            refs = (
-                [""] * len(idx)
-                if ref is None
-                else [
-                    "<null>" if r is None else r
-                    for r in ref.take(pa.array(idx, type=pa.int64())).to_pylist()
-                ]
+            out.append(
+                P.violation_rows(
+                    cid,
+                    pids[idx],
+                    P.refs_at(P.build_row_ref(t, cs), idx),
+                    [repr(float(x)) for x in v[idx]],
+                    col,
+                    "quantile_bounds",
+                )
             )
-            for j, i in enumerate(idx):
-                out["partition_id"].append(int(pids[i]))
-                out["constraint_id"].append(cid)
-                out["row_ref"].append(refs[j])
-                out["column"].append(col)
-                out["observed"].append(repr(float(v[i])))
-                out["detail"].append("quantile_bounds")
-                out["is_violation"].append(True)
-                out["n_checked"].append(0)
-                out["n_violations"].append(0)
-        return P.result_rows(out)
+        return P.result_table(out)
 
     return pruned.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -1112,9 +749,7 @@ def monotonic_check_results(
     increasing = direction == "increasing"
     cid = dist.constraint_id
     num_buckets = int(dist.params.get("num_buckets", 256))
-    max_rows = int(
-        dist.params.get("max_violation_rows") or P.DEFAULT_MAX_VIOLATIONS_PER_BATCH
-    )
+    max_rows = _max_rows(dist)
 
     data_cols = list(dict.fromkeys([*key_cols, *order_cols, col]))
 
@@ -1150,7 +785,7 @@ def monotonic_check_results(
     def per_bucket(g: pa.Table) -> pa.Table:
         g = g.drop_columns(["__gb"])
         if len(g) == 0:
-            return P._empty_result()
+            return P.result_table([])
         g, viol = monotonic_flags(
             g, key_cols, order_cols, col, strict=strict, increasing=increasing
         )
@@ -1160,18 +795,7 @@ def monotonic_check_results(
         Pmax = int(pids.max()) + 1
         n_checked = np.bincount(pids, minlength=Pmax)
         n_viol = np.bincount(pids[viol], minlength=Pmax)
-        present = np.flatnonzero(n_checked > 0)
-        out: dict[str, list] = {k.name: [] for k in P.RESULT_SCHEMA}
-        kp = len(present)
-        out["partition_id"].extend(present.tolist())
-        out["constraint_id"].extend([cid] * kp)
-        out["row_ref"].extend([""] * kp)
-        out["column"].extend([col] * kp)
-        out["observed"].extend([""] * kp)
-        out["detail"].extend([""] * kp)
-        out["is_violation"].extend([False] * kp)
-        out["n_checked"].extend(n_checked[present].astype(np.int64).tolist())
-        out["n_violations"].extend(n_viol[present].astype(np.int64).tolist())
+        out = [P.count_rows(cid, n_checked, n_viol, column=col)]
         idx = np.flatnonzero(viol)[:max_rows]
         if len(idx):
             take = pa.array(idx, type=pa.int64())
@@ -1179,19 +803,17 @@ def monotonic_check_results(
             refs = g["__ref"].take(take).to_pylist()
             vals = pc.cast(g[col], pa.string()).take(take).to_pylist()
             prevs = pc.cast(g[col], pa.string()).take(prev_take).to_pylist()
-            for j, i in enumerate(idx):
-                out["partition_id"].append(int(pids[i]))
-                out["constraint_id"].append(cid)
-                out["row_ref"].append(refs[j] if refs[j] is not None else "")
-                out["column"].append(col)
-                out["observed"].append(f"{prevs[j]} -> {vals[j]}")
-                out["detail"].append(
-                    f"monotonic[{direction}{',strict' if strict else ''}]"
+            out.append(
+                P.violation_rows(
+                    cid,
+                    pids[idx],
+                    ["" if r is None else r for r in refs],
+                    [f"{p} -> {v}" for p, v in zip(prevs, vals)],
+                    col,
+                    f"monotonic[{direction}{',strict' if strict else ''}]",
                 )
-                out["is_violation"].append(True)
-                out["n_checked"].append(0)
-                out["n_violations"].append(0)
-        return P.result_rows(out)
+            )
+        return P.result_table(out)
 
     cols_needed = list(
         dict.fromkeys(data_cols + _pid_cols(cs) + list(cs.row_ref_cols or []))
@@ -1240,9 +862,7 @@ def reconcile_check_results(
     missing_viol = dist.params.get("missing_other", "violation") == "violation"
     cid = dist.constraint_id
     num_buckets = int(dist.params.get("num_buckets", 256))
-    max_rows = int(
-        dist.params.get("max_violation_rows") or P.DEFAULT_MAX_VIOLATIONS_PER_BATCH
-    )
+    max_rows = _max_rows(dist)
     mix_mod = np.uint64(num_buckets)
 
     def _bucket(k: "pa.ChunkedArray") -> np.ndarray:
@@ -1309,7 +929,7 @@ def reconcile_check_results(
             ["key", "val", "__pid", "__ref"]
         )
         if len(pt) == 0:
-            return P._empty_result()
+            return P.result_table([])
         sums = (
             ch.group_by(["key"], use_threads=False)
             .aggregate([("val", "sum")])
@@ -1332,35 +952,25 @@ def reconcile_check_results(
         Pmax = int(pids.max()) + 1
         n_checked = np.bincount(pids[checked], minlength=Pmax)
         n_viol = np.bincount(pids[viol], minlength=Pmax)
-        present = np.flatnonzero(n_checked > 0)
-        out: dict[str, list] = {k.name: [] for k in P.RESULT_SCHEMA}
-        kp = len(present)
-        out["partition_id"].extend(present.tolist())
-        out["constraint_id"].extend([cid] * kp)
-        out["row_ref"].extend([""] * kp)
-        out["column"].extend([col] * kp)
-        out["observed"].extend([""] * kp)
-        out["detail"].extend([""] * kp)
-        out["is_violation"].extend([False] * kp)
-        out["n_checked"].extend(n_checked[present].astype(np.int64).tolist())
-        out["n_violations"].extend(n_viol[present].astype(np.int64).tolist())
+        out = [P.count_rows(cid, n_checked, n_viol, column=col)]
         idx = np.flatnonzero(viol)[:max_rows]
         if len(idx):
-            take = pa.array(idx, type=pa.int64())
-            refs = joined["__ref"].take(take).to_pylist()
-            for j, i in enumerate(idx):
-                out["partition_id"].append(int(pids[i]))
-                out["constraint_id"].append(cid)
-                out["row_ref"].append(refs[j] if refs[j] is not None else "")
-                out["column"].append(col)
-                out["observed"].append(
-                    f"{pv[i]!r} != sum {'<missing>' if missing[i] else repr(float(cv[i]))}"
+            refs = joined["__ref"].take(pa.array(idx, type=pa.int64())).to_pylist()
+            out.append(
+                P.violation_rows(
+                    cid,
+                    pids[idx],
+                    ["" if r is None else r for r in refs],
+                    [
+                        f"{pv[i]!r} != sum "
+                        f"{'<missing>' if missing[i] else repr(float(cv[i]))}"
+                        for i in idx
+                    ],
+                    col,
+                    "reconcile",
                 )
-                out["detail"].append("reconcile")
-                out["is_violation"].append(True)
-                out["n_checked"].append(0)
-                out["n_violations"].append(0)
-        return P.result_rows(out)
+            )
+        return P.result_table(out)
 
     pruned_cols = list(dict.fromkeys([key, col] + _pid_cols(cs) + list(cs.row_ref_cols or [])))
     pruned = ds.map_batches(
@@ -1404,9 +1014,7 @@ def freshness_check_results(
     gb = dist.params.get("group_by") or []
     keys = [gb] if isinstance(gb, str) else list(gb)
     cid = dist.constraint_id
-    max_rows = int(
-        dist.params.get("max_violation_rows") or P.DEFAULT_MAX_VIOLATIONS_PER_BATCH
-    )
+    max_rows = _max_rows(dist)
 
     part_schema = pa.schema(
         [("partition_id", pa.int32()), ("g", pa.string()), ("last_us", pa.int64())]
@@ -1441,7 +1049,7 @@ def freshness_check_results(
 
     def fold(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            return P._empty_result()
+            return P.result_table([])
         df = t.to_pandas()
         # per group: overall latest ts + the partition holding it
         top = df.sort_values("last_us").groupby("g", sort=True).tail(1)
@@ -1451,33 +1059,21 @@ def freshness_check_results(
         Pmax = int(pids.max()) + 1
         n_checked = np.bincount(pids, minlength=Pmax)
         n_viol = np.bincount(pids[stale], minlength=Pmax)
-        present = np.flatnonzero(n_checked > 0)
-        out: dict[str, list] = {k.name: [] for k in P.RESULT_SCHEMA}
-        kp = len(present)
-        out["partition_id"].extend(present.tolist())
-        out["constraint_id"].extend([cid] * kp)
-        out["row_ref"].extend([""] * kp)
-        out["column"].extend([col] * kp)
-        out["observed"].extend([""] * kp)
-        out["detail"].extend([""] * kp)
-        out["is_violation"].extend([False] * kp)
-        out["n_checked"].extend(n_checked[present].astype(np.int64).tolist())
-        out["n_violations"].extend(n_viol[present].astype(np.int64).tolist())
         idx = np.flatnonzero(stale)[:max_rows]
         grefs = top["g"].tolist()
-        for i in idx:
-            out["partition_id"].append(int(pids[i]))
-            out["constraint_id"].append(cid)
-            out["row_ref"].append(grefs[i])
-            out["column"].append(col)
-            out["observed"].append(
-                str(np.int64(last[i]).astype("datetime64[us]"))
-            )
-            out["detail"].append(f"freshness[max_age_s={max_age_s:g}]")
-            out["is_violation"].append(True)
-            out["n_checked"].append(0)
-            out["n_violations"].append(0)
-        return P.result_rows(out)
+        return P.result_table(
+            [
+                P.count_rows(cid, n_checked, n_viol, column=col),
+                P.violation_rows(
+                    cid,
+                    pids[idx],
+                    [grefs[i] for i in idx],
+                    [str(np.int64(last[i]).astype("datetime64[us]")) for i in idx],
+                    col,
+                    f"freshness[max_age_s={max_age_s:g}]",
+                ),
+            ]
+        )
 
     cols_needed = list(dict.fromkeys([col, *keys] + _pid_cols(cs)))
     partials = ds.map_batches(

@@ -276,46 +276,53 @@ class _DriftCompare:
         self.psi_t = psi_threshold
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        out = {f.name: [] for f in P.RESULT_SCHEMA}
+        # one count row per compared sketch row (even when n == 0), one
+        # violation row per drifted one
+        pids, cids, cols, ns, bads, observed = [], [], [], [], [], []
         for i in range(len(t)):
             col = t["column"][i].as_py()
             if col not in self.base:
                 continue
             kind, base = self.base[col]
-            pid = t["partition_id"][i].as_py()
-            n = t["n"][i].as_py()
-            cid = f"{self.cid}.{col}"
             if kind == "numeric":
                 td = TDigest.deserialize(t["payload"][i].as_py())
                 ks = ks_statistic(td, base)
                 psi = psi_numeric(td, base)
                 bad = ks > self.ks_t or psi > self.psi_t
-                observed = f"ks={ks:.4f},psi={psi:.4f}"
+                obs = f"ks={ks:.4f},psi={psi:.4f}"
             else:
                 counts = json.loads(t["values_json"][i].as_py() or "{}")
                 psi = psi_categorical(counts, base)
                 bad = psi > self.psi_t
-                observed = f"psi={psi:.4f}"
-            out["partition_id"].append(pid)
-            out["constraint_id"].append(cid)
-            out["row_ref"].append("")
-            out["column"].append("")
-            out["observed"].append("")
-            out["detail"].append("")
-            out["is_violation"].append(False)
-            out["n_checked"].append(int(n))
-            out["n_violations"].append(1 if bad else 0)
-            if bad:
-                out["partition_id"].append(pid)
-                out["constraint_id"].append(cid)
-                out["row_ref"].append(f"partition={pid}")
-                out["column"].append(col)
-                out["observed"].append(observed)
-                out["detail"].append("drift")
-                out["is_violation"].append(True)
-                out["n_checked"].append(0)
-                out["n_violations"].append(0)
-        return P.result_rows(out)
+                obs = f"psi={psi:.4f}"
+            pids.append(t["partition_id"][i].as_py())
+            cids.append(f"{self.cid}.{col}")
+            ns.append(int(t["n"][i].as_py()))
+            bads.append(bool(bad))
+            cols.append(col)
+            observed.append(obs)
+        k = [j for j, b in enumerate(bads) if b]
+        return P.result_table(
+            [
+                P.result_cols(
+                    len(pids),
+                    partition_id=pids,
+                    constraint_id=cids,
+                    n_checked=ns,
+                    n_violations=[int(b) for b in bads],
+                ),
+                P.result_cols(
+                    len(k),
+                    partition_id=[pids[j] for j in k],
+                    constraint_id=[cids[j] for j in k],
+                    row_ref=[f"partition={pids[j]}" for j in k],
+                    column=[cols[j] for j in k],
+                    observed=[observed[j] for j in k],
+                    detail="drift",
+                    is_violation=True,
+                ),
+            ]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -715,35 +722,37 @@ def group_drift_check_results(
     n_parts = cs.num_partitions
 
     def to_results(t: pa.Table) -> pa.Table:
-        out = {f.name: [] for f in P.RESULT_SCHEMA}
+        # one count row per (group, column) stat row (even when n == 0),
+        # one violation row per fired one
         if len(t) == 0:
-            return P.result_rows(out)
-        pids = _pids(t["group"], n_parts)
-        for i in range(len(t)):
-            gval = t["group"][i].as_py()
-            col = t["column"][i].as_py()
-            fired = bool(t["fired"][i].as_py())
-            obs = f"ks={t['ks'][i].as_py():.4f},psi={t['psi'][i].as_py():.4f}"
-            out["partition_id"].append(int(pids[i]))
-            out["constraint_id"].append(f"{cid}.{col}")
-            out["row_ref"].append("")
-            out["column"].append("")
-            out["observed"].append("")
-            out["detail"].append("")
-            out["is_violation"].append(False)
-            out["n_checked"].append(int(t["n"][i].as_py() or 0))
-            out["n_violations"].append(1 if fired else 0)
-            if fired:
-                out["partition_id"].append(int(pids[i]))
-                out["constraint_id"].append(f"{cid}.{col}")
-                out["row_ref"].append(f"group={gval}")
-                out["column"].append(col)
-                out["observed"].append(obs)
-                out["detail"].append("group_drift")
-                out["is_violation"].append(True)
-                out["n_checked"].append(0)
-                out["n_violations"].append(0)
-        return P.result_rows(out)
+            return P.result_table([])
+        pids = _pids(t["group"], n_parts).astype(np.int64).tolist()
+        cids = [f"{cid}.{c}" for c in t["column"].to_pylist()]
+        fired = [bool(f) for f in t["fired"].to_pylist()]
+        k = [i for i, f in enumerate(fired) if f]
+        groups, cols = t["group"].to_pylist(), t["column"].to_pylist()
+        ks, psi = t["ks"].to_pylist(), t["psi"].to_pylist()
+        return P.result_table(
+            [
+                P.result_cols(
+                    len(t),
+                    partition_id=pids,
+                    constraint_id=cids,
+                    n_checked=[int(n or 0) for n in t["n"].to_pylist()],
+                    n_violations=[int(f) for f in fired],
+                ),
+                P.result_cols(
+                    len(k),
+                    partition_id=[pids[i] for i in k],
+                    constraint_id=[cids[i] for i in k],
+                    row_ref=[f"group={groups[i]}" for i in k],
+                    column=[cols[i] for i in k],
+                    observed=[f"ks={ks[i]:.4f},psi={psi[i]:.4f}" for i in k],
+                    detail="group_drift",
+                    is_violation=True,
+                ),
+            ]
+        )
 
     return stats.map_batches(to_results, batch_format="pyarrow")
 

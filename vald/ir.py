@@ -201,7 +201,10 @@ class DistCheck:
     by pipeline.py / constraints_dist.py, not evaluated per batch."""
 
     constraint_id: str
-    kind: str  # "unique" | "refint" | "drift" | "agg"
+    # "unique" | "fd" | "cardinality" | "completeness" | "refint" |
+    # "drift" | "group_drift" | "freshness" | "monotonic" | "reconcile" |
+    # "quantile_bounds"
+    kind: str
     params: dict = field(default_factory=dict)
     severity: str = "error"
 

@@ -14,12 +14,14 @@ Execution shape (Ray-Data-first, BASELINE.json north_rule):
   per-batch distinct keys — far smaller than the input — so it is
   materialized and feeds every later stage.
 - ONE ``groupby("ubucket").map_groups`` exchange folds all fused kinds
-  together (constraints_dist.fused_exchange); opt-in hash-first
-  uniqueness and the large-parent refint anti-join run their own
-  exchanges over the same materialized stream.
+  together (constraints_dist.fused_exchange); the large-parent refint
+  anti-join runs its own exchange over the same materialized stream.
 - drift, group_drift, freshness, monotonic, reconcile and
   quantile_bounds still read the input themselves (their own pruned
   pass) and UNION their result rows into the same schema.
+- Result rows are built only by this module's builder (``result_cols``,
+  ``count_rows``, ``violation_rows``, ``result_table``): every check,
+  here and in constraints_dist and drift, hands it column parts.
 - Verdict fold (B10): groupby (partition_id, constraint_id) over the
   tiny partial rows; sums are commutative+associative so verdicts are
   identical at any parallelism (SURVEY.md §4.3 determinism).
@@ -52,7 +54,7 @@ __all__ = [
     "ValidationResult",
     "validate",
     "stamp",
-    "result_rows",
+    "result_table",
 ]
 
 RESULT_SCHEMA = pa.schema(
@@ -86,7 +88,7 @@ VERDICT_SCHEMA = pa.schema(
 DEFAULT_MAX_VIOLATIONS_PER_BATCH = 100_000
 
 
-# Per-column fill for rows built by result_rows / ext_rows / partial_rows.
+# Per-column fill for rows built by result_cols / partial_rows.
 _DEFAULTS: dict[str, Any] = {
     "partition_id": 0,
     "row_ref": "",
@@ -115,15 +117,71 @@ def _rows(schema: pa.Schema, rows: dict[str, list]) -> pa.Table:
     return pa.Table.from_arrays(cols, schema=schema)
 
 
-def result_rows(
-    rows: dict[str, list],
-) -> pa.Table:
-    """Build a RESULT_SCHEMA table from column lists (missing → default)."""
-    return _rows(RESULT_SCHEMA, rows)
+# --- the result-row builder: every RESULT_SCHEMA row is built here ---------
+#
+# A check builds its rows as *parts* (``result_cols`` column lists, usually
+# from ``count_rows`` and ``violation_rows``) and turns them into Arrow with
+# ONE ``result_table`` call.
 
 
-def _empty_result() -> pa.Table:
-    return result_rows({"constraint_id": []})
+def result_cols(k: int, **cols) -> dict[str, list]:
+    """``k`` RESULT_SCHEMA rows as column lists: a list value is the
+    column, any other value is repeated, a missing column takes its
+    default."""
+    return {
+        f.name: (
+            cols[f.name] if isinstance(cols.get(f.name), list)
+            else [cols.get(f.name, _DEFAULTS.get(f.name))] * k
+        )
+        for f in RESULT_SCHEMA
+    }
+
+
+def count_rows(
+    cid: str, n_checked: np.ndarray, n_viol: np.ndarray, *, keep_empty: bool = False, **const
+) -> dict[str, list]:
+    """Verdict-partial rows, one per partition with a nonzero count;
+    ``n_checked``/``n_viol`` are indexed by partition id. ``keep_empty``
+    emits one zero row at partition 0 when no partition has a count, so
+    the check still gets a verdict."""
+    present = np.flatnonzero((n_checked > 0) | (n_viol > 0))
+    if keep_empty and len(present) == 0:
+        present = np.zeros(1, dtype=np.int64)
+    return result_cols(
+        len(present),
+        partition_id=present.tolist(),
+        constraint_id=cid,
+        n_checked=n_checked[present].astype(np.int64).tolist(),
+        n_violations=n_viol[present].astype(np.int64).tolist(),
+        **const,
+    )
+
+
+def violation_rows(
+    cid: str, pids, refs: list, observed: list, column: str, detail: str
+) -> dict[str, list]:
+    """Exemplar rows, one per ``refs`` entry; ``pids`` gives each row's
+    partition."""
+    return result_cols(
+        len(refs),
+        partition_id=np.asarray(pids, dtype=np.int64).tolist(),
+        constraint_id=cid,
+        row_ref=refs,
+        column=column,
+        observed=observed,
+        detail=detail,
+        is_violation=True,
+    )
+
+
+def _flat(parts: list[dict[str, list]]) -> dict[str, list]:
+    return {f.name: [v for p in parts for v in p[f.name]] for f in RESULT_SCHEMA}
+
+
+def result_table(parts: list[dict[str, list]]) -> pa.Table:
+    """One RESULT_SCHEMA table from ``result_cols`` parts (one Arrow
+    build); ``[]`` gives the empty table."""
+    return _rows(RESULT_SCHEMA, _flat(parts))
 
 
 # Extended (internal) schema emitted by RowValidator: result rows
@@ -151,12 +209,9 @@ EXT_SCHEMA = pa.schema(
 )
 
 
-def ext_rows(rows: dict[str, list]) -> pa.Table:
-    return _rows(EXT_SCHEMA, rows)
-
-
-def _empty_ext() -> pa.Table:
-    return ext_rows({"constraint_id": []})
+def ext_table(parts: list[dict[str, list]]) -> pa.Table:
+    """``result_table`` as EXT_SCHEMA rows (``rec == "res"``)."""
+    return _rows(EXT_SCHEMA, _flat(parts))
 
 
 def _project_res(t: pa.Table) -> pa.Table:
@@ -228,6 +283,17 @@ def build_row_ref(t: pa.Table, cs: ConstraintSet) -> pa.Array | None:
     return pc.binary_join_element_wise(*joined, "|")
 
 
+def refs_at(refs: pa.Array | None, idx: np.ndarray) -> list[str]:
+    """The row_refs of the rows at ``idx`` ("" without a row_ref key).
+    Only the violating rows' refs are ever materialized to Python: a
+    full-batch ``to_pylist`` would run on every batch with ANY
+    violation."""
+    if refs is None:
+        return [""] * len(idx)
+    taken = refs.take(pa.array(idx, type=pa.int64()))
+    return ["<null>" if v is None else v for v in taken.to_pylist()]
+
+
 _TYPE_CATEGORY_CHECKS = [
     ("string", lambda t: pa.types.is_string(t) or pa.types.is_large_string(t)),
     ("integer", pa.types.is_integer),
@@ -259,48 +325,30 @@ def schema_congruence_rows(observed: pa.Schema, cs: ConstraintSet) -> pa.Table:
     'number' accepts integer columns (integers are numbers, spec03 §5.1)."""
     declared = cs.declared_schema or {}
     cid = f"{cs.table}.__schema__.congruence"
-    out: dict[str, list] = {k.name: [] for k in RESULT_SCHEMA}
-
-    def violation(colname: str, observed_desc: str, detail: str):
-        out["partition_id"].append(0)
-        out["constraint_id"].append(cid)
-        out["row_ref"].append(colname)
-        out["column"].append(colname)
-        out["observed"].append(observed_desc)
-        out["detail"].append(detail)
-        out["is_violation"].append(True)
-        out["n_checked"].append(0)
-        out["n_violations"].append(0)
+    bad: list[tuple[str, str, str]] = []  # (column, observed, detail)
 
     obs = {f.name: f.type for f in observed}
-    n_bad = 0
     for colname, want in declared.items():
         if colname not in obs:
-            violation(colname, "<missing>", "schema.missing_column")
-            n_bad += 1
+            bad.append((colname, "<missing>", "schema.missing_column"))
             continue
         got = _type_category(obs[colname])
         ok = got == want or (want == "number" and got == "integer")
         if not ok:
-            violation(colname, got, "schema.type_mismatch")
-            n_bad += 1
+            bad.append((colname, got, "schema.type_mismatch"))
     if cs.closed_world:
         for colname in obs:
             if colname not in declared:
-                violation(colname, _type_category(obs[colname]), "schema.undeclared_column")
-                n_bad += 1
+                bad.append((colname, _type_category(obs[colname]), "schema.undeclared_column"))
     # one verdict partial: n_checked = number of declared columns (+
     # observed ones under closed_world)
-    out["partition_id"].append(0)
-    out["constraint_id"].append(cid)
-    out["row_ref"].append("")
-    out["column"].append("")
-    out["observed"].append("")
-    out["detail"].append("")
-    out["is_violation"].append(False)
-    out["n_checked"].append(len(declared) + (len(obs) if cs.closed_world else 0))
-    out["n_violations"].append(n_bad)
-    return result_rows(out)
+    n_checked = len(declared) + (len(obs) if cs.closed_world else 0)
+    parts = [count_rows(cid, np.array([n_checked]), np.array([len(bad)]), keep_empty=True)]
+    for colname, observed_desc, detail in bad:
+        parts.append(
+            violation_rows(cid, [0], [colname], [observed_desc], colname, detail)
+        )
+    return result_table(parts)
 
 
 def build_partition_ids(t: pa.Table, cs: ConstraintSet) -> np.ndarray:
@@ -360,63 +408,37 @@ class RowValidator:
         cs = self.cs
         n = len(batch)
         if n == 0:
-            return _empty_ext()
+            return ext_table([])
         pids = build_partition_ids(batch, cs)
         refs = build_row_ref(batch, cs)
 
-        def refs_at(idx: np.ndarray) -> list[str]:
-            # only the violating rows' refs are ever materialized to
-            # Python (idx is capped at max_v) — a full-batch to_pylist
-            # here would run on every batch containing ANY violation
-            if refs is None:
-                return [""] * len(idx)
-            taken = refs.take(pa.array(idx, type=pa.int64()))
-            return ["<null>" if v is None else v for v in taken.to_pylist()]
-
-        out: dict[str, list] = {f.name: [] for f in RESULT_SCHEMA}
-        P = max(int(pids.max()) + 1, 1) if n else 1
+        parts: list[dict[str, list]] = []
+        P = max(int(pids.max()) + 1, 1)
 
         def emit_partials(cid: str, checked: np.ndarray, bad: np.ndarray):
             # one verdict-partial row per (partition, constraint) per
             # batch — vectorized (np.bincount), no per-partition loop
             n_checked = np.bincount(pids, weights=checked, minlength=P)
             n_bad = np.bincount(pids, weights=bad, minlength=P)
-            present = np.flatnonzero((n_checked > 0) | (n_bad > 0))
-            if len(present) == 0:
-                present = np.array([0])
-            k = len(present)
-            out["partition_id"].extend(present.tolist())
-            out["constraint_id"].extend([cid] * k)
-            out["row_ref"].extend([""] * k)
-            out["column"].extend([""] * k)
-            out["observed"].extend([""] * k)
-            out["detail"].extend([""] * k)
-            out["is_violation"].extend([False] * k)
-            out["n_checked"].extend(n_checked[present].astype(np.int64).tolist())
-            out["n_violations"].extend(n_bad[present].astype(np.int64).tolist())
+            parts.append(count_rows(cid, n_checked, n_bad, keep_empty=True))
 
         for check in cs.row_checks:
             ok = check.eval(batch)
             checked = check.checked_mask(batch)
             bad = checked & ~ok
             emit_partials(check.constraint_id, checked, bad)
-            idx = np.flatnonzero(bad)
-            if len(idx) == 0:
-                continue
-            if len(idx) > self.max_v:
-                idx = idx[: self.max_v]
-            v_refs = refs_at(idx)
-            observed = check.observed(batch, idx)
-            for j, i in enumerate(idx):
-                out["partition_id"].append(int(pids[i]))
-                out["constraint_id"].append(check.constraint_id)
-                out["row_ref"].append(v_refs[j])
-                out["column"].append(check.column or "")
-                out["observed"].append(observed[j])
-                out["detail"].append(check.keyword)
-                out["is_violation"].append(True)
-                out["n_checked"].append(0)
-                out["n_violations"].append(0)
+            idx = np.flatnonzero(bad)[: self.max_v]
+            if len(idx):
+                parts.append(
+                    violation_rows(
+                        check.constraint_id,
+                        pids[idx],
+                        refs_at(refs, idx),
+                        check.observed(batch, idx),
+                        check.column or "",
+                        check.keyword,
+                    )
+                )
 
         # broadcast refint (B5): vectorized membership (pc.is_in)
         # against the actor-held Arrow key array — zero Python objects.
@@ -460,20 +482,18 @@ class RowValidator:
             emit_partials(dist.constraint_id, checked, bad)
             idx = np.flatnonzero(bad)[: self.max_v]
             if len(idx):
-                v_refs = refs_at(idx)
-                from .kernels import observed_strings as _obs
+                from .kernels import observed_strings
 
-                observed = _obs(keycol, idx)
-                for j, i in enumerate(idx):
-                    out["partition_id"].append(int(pids[i]))
-                    out["constraint_id"].append(dist.constraint_id)
-                    out["row_ref"].append(v_refs[j])
-                    out["column"].append(",".join(cols))
-                    out["observed"].append(observed[j])
-                    out["detail"].append("refint")
-                    out["is_violation"].append(True)
-                    out["n_checked"].append(0)
-                    out["n_violations"].append(0)
+                parts.append(
+                    violation_rows(
+                        dist.constraint_id,
+                        pids[idx],
+                        refs_at(refs, idx),
+                        observed_strings(keycol, idx),
+                        ",".join(cols),
+                        "refint",
+                    )
+                )
 
         # dataset-level checks that share THIS pass instead of
         # re-reading the input: the fused kinds' batch partials and the
@@ -490,7 +510,7 @@ class RowValidator:
             for d in cs.dist_checks
             if d.kind == "refint" and d.constraint_id in self.refint_fused
         ]
-        return pa.concat_tables([ext_rows(out), *partials])
+        return pa.concat_tables([ext_table(parts), *partials])
 
 
 def stamp(
@@ -582,7 +602,7 @@ class ValidationResult:
                 self._local = (
                     pa.concat_tables(parts).combine_chunks()
                     if parts
-                    else _empty_result()
+                    else result_table([])
                 )
         return self._local
 
@@ -719,7 +739,18 @@ class _TaskValidator:
 # force a path with params["strategy"] = "broadcast" | "anti_join".
 # One shared constant: catalog queries inherit the same guard through
 # runtime.broadcast_or_semijoin / runtime.guarded_broadcast.
-from .runtime import DEFAULT_MAX_BROADCAST_KEYS  # noqa: E402
+from .runtime import (  # noqa: E402
+    DEFAULT_MAX_BROADCAST_KEYS,
+    distinct_keys,
+    local_distinct_keys,
+)
+
+
+def _list_table(keys: list, pcols: list[str]) -> pa.Table:
+    """A list parent (scalars, or tuples for a multi-column key) as an
+    Arrow table with one column per parent key column."""
+    rows = [v if isinstance(v, tuple) else (v,) for v in keys]
+    return pa.table({c: pa.array([r[i] for r in rows]) for i, c in enumerate(pcols)})
 
 
 def _parent_key_hashes(src, pcols: list[str]) -> np.ndarray:
@@ -737,12 +768,7 @@ def _parent_key_hashes(src, pcols: list[str]) -> np.ndarray:
     from .hashing import KEY_SEP, stable_hash64
 
     if isinstance(src, list):
-        if src and isinstance(src[0], tuple):
-            src = pa.table(
-                {c: pa.array([v[i] for v in src]) for i, c in enumerate(pcols)}
-            )
-        else:
-            src = pa.table({pcols[0]: pa.array(list(src))})
+        src = _list_table(src, pcols)
 
     def key_strings(t: pa.Table):
         t = t.select(pcols).group_by(pcols, use_threads=False).aggregate([])
@@ -767,26 +793,6 @@ def _parent_key_hashes(src, pcols: list[str]) -> np.ndarray:
     return np.unique(np.concatenate(arrs))
 
 
-def _distinct_parent_keys(src: "ray.data.Dataset", pcols: list[str]) -> pa.Table:
-    """Distinct parent keys, computed DISTRIBUTED-first: per-batch local
-    ``group_by`` reduces each block to its distinct keys; only those
-    partials reach the driver for the final dedup (never the full parent
-    column — the old driver-side ``to_pandas().drop_duplicates()`` was a
-    scale hazard)."""
-
-    def pre(t: pa.Table) -> pa.Table:
-        return t.select(pcols).group_by(pcols, use_threads=False).aggregate([])
-
-    parts = ray.get(
-        src.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True).to_arrow_refs()
-    )
-    parts = [p.select(pcols) for p in parts if len(p)]
-    if not parts:
-        return pa.table({c: pa.array([]) for c in pcols})
-    t = pa.concat_tables(parts)
-    return t.group_by(pcols, use_threads=False).aggregate([]).select(pcols)
-
-
 def validate(
     ds: "ray.data.Dataset",
     spec: dict | ConstraintSet,
@@ -807,12 +813,12 @@ def validate(
     elastic tasks.
 
     ``parents`` maps refint parent_table name → its key source (Dataset /
-    Arrow table / list of keys). The planner picks the B5 execution path
-    per check:
+    Arrow table / list of keys; a list is planned as an Arrow table).
+    The planner picks the B5 execution path per check:
 
     - small parents (≤ ``max_broadcast_keys`` rows, default 2M) are
-      broadcast via ``ray.put`` — distinct keys computed distributed
-      first — and checked with a vectorized ``pc.is_in`` inside the
+      broadcast via ``ray.put`` — distinct, NULL-free keys
+      (runtime.distinct_keys), computed distributed first — and checked with a vectorized ``pc.is_in`` inside the
       fused row pass (no shuffle);
     - large parents route through the fused anti-join path: the row pass
       emits pre-aggregated child-key partials inline (no second input
@@ -838,6 +844,8 @@ def validate(
         if src is None:
             continue
         pcols = list(dist.params["parent_columns"])
+        if isinstance(src, list):  # then planned like any Table parent
+            src = _list_table(src, pcols)
         strategy = dist.params.get("strategy", "auto")
         threshold = int(
             dist.params.get("max_broadcast_keys") or DEFAULT_MAX_BROADCAST_KEYS
@@ -852,9 +860,7 @@ def validate(
             # threshold but whose anti-join is too expensive for a
             # quick screen. One-sided: a missing child passes with
             # prob = FPR (~4e-4); flagged violations are always real.
-            # Hashing is distributed for Dataset parents and honored
-            # for list/table parents too (ADVICE r3: was silently
-            # ignored for lists).
+            # Hashing is distributed for Dataset parents.
             from .ops.decontam import BloomFilter
 
             bloom = BloomFilter(
@@ -863,26 +869,12 @@ def validate(
             )
             broadcast_refs[cid] = ray.put(bloom)
             continue
-        if isinstance(src, list):
-            if strategy == "anti_join":
-                # honor a forced join for list parents too: convert to a
-                # one-column (or tuple-exploded) Arrow table and fall
-                # through to the Table branch
-                if src and isinstance(src[0], tuple):
-                    src = pa.table(
-                        {c: pa.array([v[i] for v in src]) for i, c in enumerate(pcols)}
-                    )
-                else:
-                    src = pa.table({pcols[0]: pa.array(list(src))})
-            else:
-                broadcast_refs[cid] = ray.put(set(src))
-                continue
         if isinstance(src, pa.Table):
             if strategy == "anti_join" or (strategy == "auto" and len(src) > threshold):
                 anti_parents[cid] = ray.data.from_arrow(src.select(pcols))
                 refint_fused[cid] = list(dist.params["columns"])
                 continue
-            keys_t = src.select(pcols).group_by(pcols, use_threads=False).aggregate([])
+            keys_t = distinct_keys(src, pcols)
         else:  # Dataset
             # src.count() is parquet metadata for file-backed parents;
             # for computed parents it executes the (parent) pipeline once.
@@ -892,7 +884,7 @@ def validate(
                 anti_parents[cid] = src
                 refint_fused[cid] = list(dist.params["columns"])
                 continue
-            keys_t = _distinct_parent_keys(src, pcols)
+            keys_t = distinct_keys(local_distinct_keys(src, pcols), pcols)
         if len(pcols) == 1:
             keys = set(keys_t[pcols[0]].to_pylist())
         else:
@@ -918,19 +910,13 @@ def validate(
     from . import constraints_dist as cd
 
     fused = [d for d in cs.dist_checks if d.kind in cd.FUSED_KINDS]
-    hash_first = [
-        d for d in fused if d.params.get("unique_strategy") == "hash_first"
-    ]
-    shared = [d for d in fused if d not in hash_first]
     if fused or refint_fused:
         raw = raw.materialize()
     combined = raw.map_batches(
         _project_res, batch_format="pyarrow", zero_copy_batch=True
     )
-    if shared:
-        combined = combined.union(cd.fused_exchange(raw, shared))
-    if hash_first:
-        combined = combined.union(cd.fused_unique_results(raw, cs, hash_first))
+    if fused:
+        combined = combined.union(cd.fused_exchange(raw, fused))
     for dist in cs.dist_checks:
         if dist.kind == "refint" and dist.constraint_id in refint_fused:
             combined = combined.union(

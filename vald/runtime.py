@@ -220,23 +220,42 @@ def _as_key_array(keys, keys_on: str):
     return pc.unique(pc.drop_null(arr.combine_chunks()))
 
 
-def _local_distinct_keys(keys_ds, keys_on: str):
-    """One column, per-block local distinct, materialized.
+def local_distinct_keys(keys_ds, cols: "str | list[str]"):
+    """Per-block distinct, NULL-free rows of ``cols``, materialized.
 
     The materialize is load-bearing twice over: it is the count we
     guard the broadcast decision on, and it is the all-to-all barrier
     the downstream ``Dataset.join`` needs (see ``join_barrier``)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
+    cols = [cols] if isinstance(cols, str) else list(cols)
 
     def pre(t: "pa.Table") -> "pa.Table":
-        t = t.select([keys_on])
-        t = t.filter(pc.is_valid(t[keys_on]))
-        return t.group_by([keys_on], use_threads=False).aggregate([])
+        return t.select(cols).drop_null().group_by(cols, use_threads=False).aggregate([])
 
     return keys_ds.map_batches(
         pre, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
+
+
+def distinct_keys(keys, cols: "str | list[str]") -> "pa.Table":
+    """Distinct, NULL-free rows of ``cols``: the parent-key set of every
+    membership route (validate()'s refint broadcast,
+    ``broadcast_or_semijoin``, ``guarded_broadcast``). A key with a NULL
+    part matches nothing, as in a join, so it is dropped here rather
+    than turned into a string that a child value could equal.
+
+    ``keys`` is an Arrow table, or a Dataset reduced by
+    ``local_distinct_keys``: only its per-block distinct rows reach the
+    driver, never the full key column."""
+    import pyarrow as pa
+
+    cols = [cols] if isinstance(cols, str) else list(cols)
+    if not isinstance(keys, pa.Table):
+        parts = [p.select(cols) for p in ray.get(keys.to_arrow_refs()) if len(p)]
+        keys = (
+            pa.concat_tables(parts) if parts else pa.table({c: pa.array([]) for c in cols})
+        )
+    t = keys.select(cols).drop_null()
+    return t.group_by(cols, use_threads=False).aggregate([]).select(cols)
 
 
 def broadcast_or_semijoin(
@@ -273,7 +292,6 @@ def broadcast_or_semijoin(
     NULL keys in the key set are ignored.
     """
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     threshold = int(
         DEFAULT_MAX_BROADCAST_KEYS if max_broadcast_keys is None else max_broadcast_keys
@@ -287,19 +305,10 @@ def broadcast_or_semijoin(
         m = ray.data.from_arrow(pa.table({keys_on: arr}))
         n = len(arr)
     else:
-        m = _local_distinct_keys(keys, keys_on)
+        m = local_distinct_keys(keys, keys_on)
         n = m.count()
         if n <= threshold:
-            parts = [p for p in ray.get(m.to_arrow_refs()) if len(p)]
-            if not parts:
-                arr = pa.chunked_array([pa.array([], type=pa.null())])
-            else:
-                t = pa.concat_tables(parts)
-                arr = (
-                    t.group_by([keys_on], use_threads=False)
-                    .aggregate([])[keys_on]
-                    .combine_chunks()
-                )
+            arr = distinct_keys(m, keys_on)[keys_on].combine_chunks()
             return _broadcast_membership(ds, on, arr, anti)
 
     if n == 0:
@@ -347,8 +356,6 @@ def guarded_broadcast(
     not with a driver OOM at 100x — to broadcast past the threshold.
     Callers hitting the ValueError must restructure onto the join path.
     """
-    import pyarrow as pa
-
     threshold = int(
         DEFAULT_MAX_BROADCAST_KEYS if max_broadcast_keys is None else max_broadcast_keys
     )
@@ -356,23 +363,14 @@ def guarded_broadcast(
     if arr is None:  # Dataset
         if keys_on is None:
             raise ValueError("guarded_broadcast needs keys_on for Dataset inputs")
-        m = _local_distinct_keys(keys, keys_on)
+        m = local_distinct_keys(keys, keys_on)
         n = m.count()
         if n > threshold:
             raise ValueError(
                 f"{what}: {n} keys exceeds max_broadcast_keys={threshold}; "
                 "route through broadcast_or_semijoin instead of broadcasting"
             )
-        parts = [p for p in ray.get(m.to_arrow_refs()) if len(p)]
-        if not parts:
-            arr = pa.chunked_array([pa.array([], type=pa.null())])
-        else:
-            t = pa.concat_tables(parts)
-            arr = (
-                t.group_by([keys_on], use_threads=False)
-                .aggregate([])[keys_on]
-                .combine_chunks()
-            )
+        arr = distinct_keys(m, keys_on)[keys_on].combine_chunks()
     elif len(arr) > threshold:
         raise ValueError(
             f"{what}: {len(arr)} keys exceeds max_broadcast_keys={threshold}; "
