@@ -477,9 +477,17 @@ class TestQuantileBounds:
         ({"kind": "completeness", "max_null_rate": 0.1}, "column"),
         ({"kind": "completeness", "column": "v"}, "max_null_rate"),
         ({"kind": "cardinality", "min_distinct": 1}, "column"),
+        ({"kind": "monotonic", "key": "det", "column": "v"}, "order"),
+        ({"kind": "freshness", "column": "ts", "max_age_s": 60}, "as_of"),
+        ({"kind": "reconcile", "key": "det", "column": "v", "other_table": "o",
+          "other_key": "det"}, "other_sum"),
+        ({"kind": "drift", "columns": ["v"]}, "baseline"),
+        ({"kind": "quantile_bounds", "upper_q": 0.9}, "column"),
     ],
     ids=["fd-columns", "fd-dependent", "completeness-column",
-         "completeness-max_null_rate", "cardinality-column"],
+         "completeness-max_null_rate", "cardinality-column", "monotonic-order",
+         "freshness-as_of", "reconcile-other_sum", "drift-baseline",
+         "quantile_bounds-column"],
 )
 def test_missing_required_param_is_spec_error(check, missing):
     from vald.ir import SpecError
@@ -491,3 +499,26 @@ def test_missing_required_param_is_spec_error(check, missing):
     }
     with pytest.raises(SpecError, match=rf"checks\[1\].*'{missing}'"):
         compile_table_spec(spec)
+
+
+def test_repeated_default_ids_of_every_kind():
+    """Two checks of one kind on one target get "<id>" and "<id>.1", so
+    their verdicts never fold together."""
+    twice = [
+        {"kind": "sha_equal", "column": "c", "expected": "h"},
+        {"kind": "refint", "columns": ["det"], "parent_table": "p"},
+        {"kind": "quantile_bounds", "column": "v"},
+        {"kind": "freshness", "column": "ts", "as_of": 0, "max_age_s": 1},
+        {"kind": "reconcile", "key": "det", "column": "v", "other_table": "o",
+         "other_key": "det", "other_sum": "v"},
+        {"kind": "monotonic", "key": "det", "order": "ts", "column": "v"},
+        {"kind": "drift", "columns": ["v"], "baseline": "b.parquet"},
+        {"kind": "group_drift", "group_by": "g", "baseline": "b.parquet"},
+    ]
+    cs = compile_table_spec(
+        {"table": "t", "columns": {}, "checks": [c for c in twice for _ in (0, 1)]}
+    )
+    ids = [c.constraint_id for c in cs.row_checks] + [d.constraint_id for d in cs.dist_checks]
+    bases = ["t.c.sha_equal", "t.det.refint", "t.v.quantile_bounds", "t.ts.freshness",
+             "t.v.reconcile", "t.v.monotonic", "t.drift", "t.g.group_drift"]
+    assert ids == [i for b in bases for i in (b, f"{b}.1")]

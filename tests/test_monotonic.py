@@ -197,3 +197,30 @@ class TestMonotonicSpec:
         v2 = res2.verdicts_table()
         rows2 = v2.filter(pc.equal(v2["constraint_id"], "t.v.monotonic"))
         assert int(pc.sum(rows2["n_violations"]).as_py()) == 1
+
+
+def test_repeated_default_ids_get_suffixes(ray_session):
+    """An increasing and a decreasing check on one column get two ids
+    ("t.v.monotonic", "t.v.monotonic.1"), so their verdicts stay apart."""
+    import ray.data
+
+    t = _log(n=400)
+    spec = compile_table_spec(
+        {
+            "table": "t",
+            "columns": {},
+            "checks": [
+                {"kind": "monotonic", "key": "k", "order": "o", "column": "v"},
+                {"kind": "monotonic", "key": "k", "order": "o", "column": "v",
+                 "direction": "decreasing"},
+            ],
+        }
+    )
+    assert [d.constraint_id for d in spec.dist_checks] == ["t.v.monotonic", "t.v.monotonic.1"]
+    v = P.validate(ray.data.from_arrow(t).repartition(3), spec).verdicts_table()
+    for cid, increasing in (("t.v.monotonic", True), ("t.v.monotonic.1", False)):
+        rows = v.filter(pc.equal(v["constraint_id"], cid))
+        assert int(pc.sum(rows["n_checked"]).as_py()) == len(t)
+        assert int(pc.sum(rows["n_violations"]).as_py()) == int(
+            _expected(t, increasing=increasing)["n_violations"].sum()
+        )

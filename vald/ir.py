@@ -313,11 +313,21 @@ def _compile_column(table: str, col: str, colspec: dict) -> list[CompiledCheck]:
     return checks
 
 
-# Parameters a check kind cannot run without (checked at compile time).
+# Parameters a check kind cannot run without (checked at compile time);
+# a tuple entry names alternatives, one of which must be set.
 _REQUIRED_PARAMS = {
+    "sha_equal": ("column", "expected"),
+    "unique": ("columns",),
+    "refint": ("columns",),
     "fd": ("columns", "dependent"),
     "completeness": ("column", "max_null_rate"),
     "cardinality": ("column",),
+    "quantile_bounds": ("column",),
+    "monotonic": ("key", "order", "column"),
+    "freshness": ("column", "as_of", "max_age_s"),
+    "reconcile": ("key", "column", "other_table", "other_key", "other_sum"),
+    "drift": (("baseline", "baseline_table"),),
+    "group_drift": ("group_by", ("baseline", "baseline_table")),
 }
 
 # Kinds folded in validate()'s one shared exchange, split by
@@ -364,25 +374,29 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
     counters: dict[str, int] = {}
 
     def next_id(base: str) -> str:
-        # default ids repeat on repeated checks: the 2nd gets ".1", ...
+        # default ids repeat on repeated checks of any kind: the 2nd
+        # gets ".1", ... (checks sharing an id fold into one verdict)
         n = counters.get(base, 0)
         counters[base] = n + 1
         return base if n == 0 else f"{base}.{n}"
 
     for i, chk in enumerate(spec.get("checks", [])):
         kind = chk.get("kind")
-        # fused kinds run inside Ray tasks: a missing parameter must fail
+        # checks run inside Ray tasks: a missing parameter must fail
         # here, not as a KeyError mid-pipeline
         for key in _REQUIRED_PARAMS.get(kind, ()):
-            if chk.get(key) is None:
-                raise SpecError(f"checks[{i}] (kind {kind!r}): missing required key {key!r}")
+            alts = key if isinstance(key, tuple) else (key,)
+            if all(chk.get(k) is None for k in alts):
+                raise SpecError(
+                    f"checks[{i}] (kind {kind!r}): missing required key "
+                    + " or ".join(repr(k) for k in alts)
+                )
         if kind == "sha_equal":
             col = chk["column"]
             cs.row_checks.append(
                 CompiledCheck(
-                    constraint_id=chk.get(
-                        "constraint_id", f"{table}.{col}.sha_equal"
-                    ),
+                    constraint_id=chk.get("constraint_id")
+                    or next_id(f"{table}.{col}.sha_equal"),
                     keyword="sha_equal",
                     column=col,
                     params={"expected": chk["expected"]},
@@ -411,8 +425,8 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             )
         elif kind == "refint":
             cols = chk["columns"]
-            cid = chk.get(
-                "constraint_id", f"{table}.{'_'.join(cols)}.refint"
+            cid = chk.get("constraint_id") or next_id(
+                f"{table}.{'_'.join(cols)}.refint"
             )
             cs.dist_checks.append(
                 DistCheck(
@@ -437,9 +451,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             # empirical-outlier screen: values outside the table's own
             # exact [P(lower_q), P(upper_q)] quantiles are violations
             col = chk["column"]
-            cid = chk.get(
-                "constraint_id", f"{table}.{col}.quantile_bounds"
-            )
+            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.quantile_bounds")
             cs.dist_checks.append(
                 DistCheck(
                     cid,
@@ -475,9 +487,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             # per-group staleness: latest `column` within max_age_s of
             # the explicit as_of (never wall clock — determinism)
             col = chk["column"]
-            cid = chk.get(
-                "constraint_id", f"{table}.{col}.freshness"
-            )
+            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.freshness")
             cs.dist_checks.append(
                 DistCheck(
                     cid,
@@ -520,9 +530,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             # cross-table aggregate consistency: column ==
             # sum(other_sum) over other_table rows sharing the key
             col = chk["column"]
-            cid = chk.get(
-                "constraint_id", f"{table}.{col}.reconcile"
-            )
+            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.reconcile")
             cs.dist_checks.append(
                 DistCheck(
                     cid,
@@ -549,9 +557,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             orderc = chk["order"]
             orderc = [orderc] if isinstance(orderc, str) else list(orderc)
             col = chk["column"]
-            cid = chk.get(
-                "constraint_id", f"{table}.{col}.monotonic"
-            )
+            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.monotonic")
             cs.dist_checks.append(
                 DistCheck(
                     cid,
@@ -595,7 +601,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             # per-group (language/domain/source) distribution shift vs
             # a per-group baseline — params pass through like drift
             gcol = chk["group_by"]
-            cid = chk.get("constraint_id", f"{table}.{gcol}.group_drift")
+            cid = chk.get("constraint_id") or next_id(f"{table}.{gcol}.group_drift")
             cs.dist_checks.append(
                 DistCheck(
                     cid,
@@ -605,7 +611,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
                 )
             )
         elif kind == "drift":
-            cid = chk.get("constraint_id", f"{table}.drift")
+            cid = chk.get("constraint_id") or next_id(f"{table}.drift")
             cs.dist_checks.append(
                 DistCheck(
                     cid,

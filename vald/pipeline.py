@@ -13,9 +13,12 @@ Execution shape (Ray-Data-first, BASELINE.json north_rule):
   the stream is ~|violations| + O(batches × constraints) + the
   per-batch distinct keys — far smaller than the input — so it is
   materialized and feeds every later stage.
-- ONE ``groupby("ubucket").map_groups`` exchange folds all fused kinds
-  together (constraints_dist.fused_exchange); the large-parent refint
-  anti-join runs its own exchange over the same materialized stream.
+- ONE sort exchange on ``ubucket`` folds all fused kinds together
+  (constraints_dist.fused_exchange), one fold call per check per
+  sorted block; its fan-out comes from the stream's row count, not
+  from the input's block count. The large-parent refint anti-join runs
+  its own exchange, sized the same way, over the same materialized
+  stream.
 - drift, group_drift, freshness, monotonic, reconcile and
   quantile_bounds still read the input themselves (their own pruned
   pass) and UNION their result rows into the same schema.
@@ -807,7 +810,8 @@ def validate(
     The input is read once, by the row pass. Row checks, refint
     membership and the batch partials of unique, fd, cardinality and
     completeness come out of that pass; the four fused kinds are then
-    decided in one shared exchange (constraints_dist.fused_exchange).
+    decided in one shared sort exchange (constraints_dist.fused_exchange)
+    whose fan-out comes from the pass's output row count.
     drift, group_drift, freshness, monotonic, reconcile and
     quantile_bounds still read ``ds`` themselves. The row pass runs as
     elastic tasks.
@@ -912,9 +916,11 @@ def validate(
     fused = [d for d in cs.dist_checks if d.kind in cd.FUSED_KINDS]
     if fused or refint_fused:
         raw = raw.materialize()
-    combined = raw.map_batches(
-        _project_res, batch_format="pyarrow", zero_copy_batch=True
-    )
+        combined = cd.coalesce(raw, _project_res)
+    else:
+        combined = raw.map_batches(
+            _project_res, batch_format="pyarrow", zero_copy_batch=True
+        )
     if fused:
         combined = combined.union(cd.fused_exchange(raw, fused))
     for dist in cs.dist_checks:
