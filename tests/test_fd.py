@@ -522,3 +522,17 @@ def test_repeated_default_ids_of_every_kind():
     bases = ["t.c.sha_equal", "t.det.refint", "t.v.quantile_bounds", "t.ts.freshness",
              "t.v.reconcile", "t.v.monotonic", "t.drift", "t.g.group_drift"]
     assert ids == [i for b in bases for i in (b, f"{b}.1")]
+
+
+def test_repeated_explicit_refint_id_is_spec_error():
+    """validate() keys a refint check's broadcast parent keys by its id:
+    two refint checks sharing an explicit id would both run against the
+    second one's parent."""
+    from vald.ir import SpecError
+
+    check = {"kind": "refint", "columns": ["det"], "constraint_id": "x"}
+    with pytest.raises(SpecError, match="duplicate constraint_id 'x'"):
+        compile_table_spec(
+            {"table": "t", "columns": {}, "checks": [
+                {**check, "parent_table": "a"}, {**check, "parent_table": "b"}]}
+        )

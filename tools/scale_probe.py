@@ -8,12 +8,14 @@ Writes ``vald.corpus.write_corpus(DIR/corpus-n<rows>, rows)`` on the first
 call (later calls reuse it), then starts a Ray session with ``--num-cpus``
 CPUs and runs ``validate()`` on ``CORPUS_SPEC`` (``--extra`` adds a
 completeness, a cardinality and an fd check) ``--runs`` times after one
-untimed warm-up. It prints each run's wall time, then every operator line
-of the last run's public ``Dataset.stats()`` (the read's line gives its
-block count) with the operator's summed task busy time, and the share of
-the wall time the exchange operators were busy. ``--dump`` writes the
-sorted verdict and violation rows to PREFIX.verdicts.parquet and
-PREFIX.violations.parquet, to compare two checkouts.
+untimed warm-up. Each run is timed in two parts: ``validate(...,
+materialize=False)`` returns once the read and the row pass are done (it
+materializes the row pass's stream), and ``combined.materialize()`` then
+runs the exchanges and folds. It prints both per run, then every operator
+line of the last run's public ``Dataset.stats()`` (the read's line gives
+its block count) with the operator's summed task busy time. ``--dump``
+writes the sorted verdict and violation rows to PREFIX.verdicts.parquet
+and PREFIX.violations.parquet, to compare two checkouts.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ EXTRA_CHECKS = [
 ]
 
 
-# Operators of validate()'s exchanges: the projections that feed them,
-# the sorts and the folds (both the sorted-block folds and the
-# per-bucket ``map_groups`` folds of older checkouts).
-EXCHANGE_OPS = r"MapBatches\(project|Sort|per_block|per_bucket|distinct_child_keys"
 _UNIT_S = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 
@@ -91,20 +89,22 @@ def main() -> None:
         ds = sources.read_source(files, format="parquet")
         parent = ray.data.read_parquet(os.path.join(d, "repos.parquet"))
         t0 = time.perf_counter()
-        res = pipeline.validate(ds, spec, parents={"repos": parent})
-        return res, time.perf_counter() - t0
+        res = pipeline.validate(ds, spec, parents={"repos": parent}, materialize=False)
+        t1 = time.perf_counter()
+        res.combined = res.combined.materialize()
+        return res, t1 - t0, time.perf_counter() - t1
 
     once()  # warm-up: worker start and imports
     for i in range(a.runs):
-        res, wall = once()
-        print(f"run {i}: validate() {wall:.2f} s", flush=True)
-    print(f"rows {a.rows}")
-    exchange = 0.0
-    for name, busy, line in operator_busy(res.combined.stats()):
+        res, rowpass, exchange = once()
+        wall = rowpass + exchange
+        print(
+            f"run {i}: validate() {wall:.2f} s = read + row pass {rowpass:.2f} s"
+            f" + exchanges and folds {exchange:.2f} s ({exchange / wall:.0%})",
+            flush=True,
+        )
+    for _, busy, line in operator_busy(res.combined.stats()):
         print(f"{line}  [busy {busy:.2f} s]")
-        if re.search(EXCHANGE_OPS, name):
-            exchange += busy
-    print(f"exchange busy {exchange:.2f} s = {exchange / wall:.0%} of validate() {wall:.2f} s")
     if a.dump:
         v = res.verdicts_table()
         x = res.violations_table()

@@ -330,10 +330,6 @@ _REQUIRED_PARAMS = {
     "group_drift": ("group_by", ("baseline", "baseline_table")),
 }
 
-# Kinds folded in validate()'s one shared exchange, split by
-# constraint_id (the keys of constraints_dist.FUSED_KINDS).
-_SHARED_EXCHANGE_KINDS = ("unique", "fd", "completeness", "cardinality")
-
 
 def compile_table_spec(spec: dict) -> ConstraintSet:
     """Compile a declarative table spec into a ConstraintSet.
@@ -622,14 +618,14 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
             )
         else:
             raise SpecError(f"unknown check kind {kind!r}")
-    # two shared-exchange checks with one id would have their partials
-    # merged and folded under one check's params
+    # validate() keys per-check state by id (the shared exchange's
+    # partials, refint's broadcast parent keys): two dataset-level checks
+    # with one id would run under one check's params
     seen: set[str] = set()
     for d in cs.dist_checks:
-        if d.kind in _SHARED_EXCHANGE_KINDS:
-            if d.constraint_id in seen:
-                raise SpecError(f"duplicate constraint_id {d.constraint_id!r}")
-            seen.add(d.constraint_id)
+        if d.constraint_id in seen:
+            raise SpecError(f"duplicate constraint_id {d.constraint_id!r}")
+        seen.add(d.constraint_id)
     return cs
 
 
