@@ -1,52 +1,61 @@
-"""Fan-out of the fused exchange: ``fold_tasks`` bounds, the fused
-parity fixtures at forced fold-task counts, and per-bucket exemplar
-caps when one fold call sees many buckets."""
+"""Fan-out of the keyed exchange (``runtime.keyed_exchange``):
+``fold_tasks`` bounds, the one bucket hash, the fused, monotonic,
+reconcile and fd parity fixtures at forced fold-task counts, fan-out
+that follows the row count and not the block count, empty inputs, and
+per-bucket exemplar caps when one fold call sees many buckets."""
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
 from vald import constraints_dist as cd
 from vald import pipeline as P
-from vald.hashing import stable_hash64
+from vald import runtime
+from vald.hashing import bucket_ids, stable_hash64
 from vald.ir import compile_table_spec
+from vald.ops.stats import fd_groups_ds, monotonic_violations_ds, reconcile_ds
 
 import test_cardinality
 import test_dist_paths
 import test_fd
+import test_monotonic
+import test_reconcile
 
 
 def test_fold_tasks_bounds():
-    r = cd.ROWS_PER_FOLD_TASK
-    assert cd.fold_tasks(0, 4) == 1  # empty stream: still one task
-    assert cd.fold_tasks(1, 4) == 1
-    assert cd.fold_tasks(r, 4) == 1
-    assert cd.fold_tasks(r + 1, 4) == 2
-    assert cd.fold_tasks(3 * r, 8) == 3
-    assert cd.fold_tasks(100 * r, 2) == 2  # at most the cluster's CPUs
-    assert cd.fold_tasks(100 * r, 1) == 1
-    assert cd.fold_tasks(100 * r, 0) == 1
+    r = runtime.ROWS_PER_FOLD_TASK
+    assert runtime.fold_tasks(0, 4) == 1  # empty stream: still one task
+    assert runtime.fold_tasks(1, 4) == 1
+    assert runtime.fold_tasks(r, 4) == 1
+    assert runtime.fold_tasks(r + 1, 4) == 2
+    assert runtime.fold_tasks(3 * r, 8) == 3
+    assert runtime.fold_tasks(100 * r, 2) == 2  # at most the cluster's CPUs
+    assert runtime.fold_tasks(100 * r, 1) == 1
+    assert runtime.fold_tasks(100 * r, 0) == 1
 
 
 @pytest.fixture
 def forced_fold_tasks(monkeypatch):
     """``force(k)`` sets ROWS_PER_FOLD_TASK, when an exchange sizes
-    itself, so that its n partial rows make k fold tasks; returns the
-    list of task counts the exchanges chose."""
+    itself, so that its n partial rows make k fold tasks (``k=None``
+    keeps the constant); returns the list of task counts the exchanges
+    chose."""
     chosen: list[int] = []
 
     def force(k):
-        real = cd.fold_tasks
+        real = runtime.fold_tasks
 
         def sized(n_rows, cpus):
-            monkeypatch.setattr(cd, "ROWS_PER_FOLD_TASK", max(1, -(-n_rows // k)))
+            if k is not None:
+                monkeypatch.setattr(runtime, "ROWS_PER_FOLD_TASK", max(1, -(-n_rows // k)))
             chosen.append(real(n_rows, cpus))
             return chosen[-1]
 
-        monkeypatch.setattr(cd, "fold_tasks", sized)
+        monkeypatch.setattr(runtime, "fold_tasks", sized)
         return chosen
 
     return force
@@ -63,6 +72,99 @@ def test_fused_parity_at_forced_fold_tasks(ray_session, forced_fold_tasks, k):
     if k > 1:
         test_dist_paths.test_refint_anti_join_matches_broadcast_counts(ray_session)
     assert chosen and set(chosen) == {k}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_keyed_parity_at_forced_fold_tasks(ray_session, forced_fold_tasks, k):
+    """The monotonic and reconcile check kinds and the three keyed ops
+    give the same results however many fold tasks their exchange has."""
+    chosen = forced_fold_tasks(k)
+    mono = test_monotonic.TestMonotonicSpec()
+    mono.test_validate_integration(ray_session)
+    mono.test_clean_log_passes(ray_session)
+    rec = test_reconcile.TestReconcileSpec()
+    rec.test_validate_integration_dataset_and_table_sources(ray_session)
+    rec.test_missing_other_ignore_downgrades_to_unchecked(ray_session)
+    test_fd.TestFdOp().test_bucket_invariance_and_nulls(ray_session)
+    test_monotonic.TestMonotonicOp().test_bucket_invariance_and_nulls(ray_session)
+    test_reconcile.TestReconcileOp().test_missing_child_fails_and_bucket_invariant(
+        ray_session
+    )
+    # a 4-row exchange makes 2 tasks at k=3: no whole rows-per-task gives 3
+    assert chosen and max(chosen) == k
+
+
+def test_bucket_ids_is_the_folded_siphash():
+    """``bucket_ids`` equals the loop every keyed route used to write
+    out, on an int and a string column holding NULLs."""
+    t = pa.table(
+        {
+            "i": pa.array([3, None, -7, 3, 0, 2**40], type=pa.int64()),
+            "s": pa.array(["a", "b", None, "a", "", "a\x1fb"]),
+        }
+    )
+    mix = np.uint64(0x9E3779B97F4A7C15)
+    for cols in (["i"], ["s"], ["i", "s"], ["s", "i"]):
+        for nb in (1, 7, 256):
+            h = np.zeros(len(t), dtype=np.uint64)
+            for c in cols:
+                arr = t[c].to_numpy(zero_copy_only=False)
+                with np.errstate(over="ignore"):
+                    h = h * mix + pd.util.hash_array(arr, categorize=False)
+            want = (h % np.uint64(nb)).astype(np.int32)
+            got = bucket_ids([t[c] for c in cols], nb)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, want)
+
+
+def _monotonic_spec(**over):
+    chk = {"kind": "monotonic", "key": "k", "order": "o", "column": "v", **over}
+    return compile_table_spec(
+        {"table": "t", "row_ref": ["k", "o"], "columns": {}, "checks": [chk]}
+    )
+
+
+def _reconcile_spec():
+    return test_reconcile.TestReconcileSpec()._spec()
+
+
+def test_keyed_fan_out_follows_rows_not_blocks(ray_session, forced_fold_tasks):
+    """2k rows in 40 blocks fold in ONE task: the monotonic check's and
+    ``reconcile_ds``'s exchanges size from their rows, not from the
+    input's block count."""
+    import ray.data
+
+    chosen = forced_fold_tasks(None)
+    ds = ray.data.from_arrow(test_monotonic._log(n=2000)).repartition(40).materialize()
+    assert ds.num_blocks() == 40
+    P.validate(ds, _monotonic_spec())
+    assert chosen == [1]
+    accounts, entries, _ = test_reconcile._ledger(n_acct=500)
+    assert len(entries) >= 1900
+    reconcile_ds(
+        ray.data.from_arrow(accounts).repartition(40),
+        ray.data.from_arrow(entries).repartition(40),
+        "acct", "balance", "acct", "amount",
+    ).materialize()
+    assert chosen == [1, 1]
+
+
+def test_keyed_routes_on_empty_input(ray_session):
+    import ray.data
+
+    ev = ray.data.from_arrow(test_monotonic._log().slice(0, 0))
+    accounts, entries, _ = test_reconcile._ledger()
+    acc = ray.data.from_arrow(accounts.slice(0, 0))
+    ent = ray.data.from_arrow(entries.slice(0, 0))
+    ms, rs = _monotonic_spec(), _reconcile_spec()
+    outs = [
+        cd.monotonic_check_results(ev, ms, ms.dist_checks[0]),
+        cd.reconcile_check_results(acc, ent, rs, rs.dist_checks[0]),
+        monotonic_violations_ds(ev, "k", "o", "v"),
+        reconcile_ds(acc, ent, "acct", "balance", "acct", "amount"),
+        fd_groups_ds(ev, "k", "v"),
+    ]
+    assert [o.count() for o in outs] == [0] * 5
 
 
 def _buckets(keys: list[str], num_buckets: int) -> set[int]:
@@ -109,3 +211,22 @@ def test_exemplar_cap_is_per_bucket(ray_session, forced_fold_tasks, k):
     groups = sorted(df["g"].unique())
     got = x.filter(pc.equal(x["constraint_id"], "t.v.cardinality"))
     assert len(got) == len(_buckets(groups, 7)) == 7
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_monotonic_exemplar_cap_is_per_bucket(ray_session, forced_fold_tasks, k):
+    """``max_violation_rows: 1`` keeps one monotonic exemplar per bucket
+    that holds a violation, also when one fold call sees every bucket."""
+    import ray.data
+
+    forced_fold_tasks(k)
+    t = test_monotonic._log(n=2000)
+    exp = test_monotonic._expected(t)
+    bad = exp.loc[exp["n_violations"] > 0, "k"].to_numpy()
+    assert len(bad) >= 20
+    spec = _monotonic_spec(max_violation_rows=1, num_buckets=7)
+    x = P.validate(ray.data.from_arrow(t).repartition(3), spec).violations_table()
+    got = [int(r.split("|")[0]) for r in x["row_ref"].to_pylist()]
+    want = set(bucket_ids([pa.array(bad, type=pa.int64())], 7).tolist())
+    assert len(got) == len(want)
+    assert set(bucket_ids([pa.array(got, type=pa.int64())], 7).tolist()) == want

@@ -154,6 +154,38 @@ class TestReconcileSpec:
         assert int(pc.sum(rows["n_checked"]).as_py()) == 1
         assert int(pc.sum(rows["n_violations"]).as_py()) == 0
 
+    def test_nan_value_or_nan_entry_fails(self, ray_session):
+        """A NaN balance and a NaN amount each fail reconciliation, on the
+        check kind and on the op alike (DuckDB: abs(NaN - x) <= tol is
+        false)."""
+        import ray.data
+
+        accounts = pa.table(
+            {"acct": pa.array([1, 2, 3], type=pa.int64()),
+             "balance": pa.array([float("nan"), 5.0, 7.0]),
+             "part": pa.array([0, 1, 2], type=pa.int64())}
+        )
+        entries = pa.table(
+            {"acct": pa.array([1, 2, 2, 3], type=pa.int64()),
+             "amount": pa.array([1.0, float("nan"), 5.0, 7.0])}
+        )
+        res = P.validate(
+            ray.data.from_arrow(accounts), self._spec(), parents={"entries": entries}
+        )
+        v = res.verdicts_table()
+        rows = v.filter(pc.equal(v["constraint_id"], "accounts.balance.reconcile"))
+        assert int(pc.sum(rows["n_checked"]).as_py()) == 3
+        assert int(pc.sum(rows["n_violations"]).as_py()) == 2
+        out = (
+            reconcile_ds(
+                ray.data.from_arrow(accounts), ray.data.from_arrow(entries),
+                "acct", "balance", "acct", "amount", tolerance=0.02,
+            )
+            .to_pandas()
+            .sort_values("key")
+        )
+        assert out["ok"].tolist() == [False, False, True]
+
     def test_missing_parents_entry_raises(self, ray_session):
         import ray.data
 

@@ -1,8 +1,11 @@
 """Scale probe: validate() on a generated corpus read with Ray's default
-blocks, with the exchange's share of the wall time.
+blocks, with the exchange's share of the wall time; or (``--keyed``) the
+keyed exchanges of monotonic and reconcile at a small and a large input
+block count.
 
     python tools/scale_probe.py --dir DIR --rows 100000 [--extra] [--runs 1]
                                 [--num-cpus 2] [--dump PREFIX]
+    python tools/scale_probe.py --keyed [--rows 20000] [--runs 1] [--num-cpus 2]
 
 Writes ``vald.corpus.write_corpus(DIR/corpus-n<rows>, rows)`` on the first
 call (later calls reuse it), then starts a Ray session with ``--num-cpus``
@@ -16,6 +19,16 @@ line of the last run's public ``Dataset.stats()`` (the read's line gives
 its block count) with the operator's summed task busy time. ``--dump``
 writes the sorted verdict and violation rows to PREFIX.verdicts.parquet
 and PREFIX.violations.parquet, to compare two checkouts.
+
+``--keyed`` builds a synthetic event table of ``--rows`` rows (default
+20k; key, order, value with injected backsteps) and an accounts table
+(one row per key, balance = the sum of its events' values, every 7th
+off by 1.0), and times a ``kind: monotonic`` check in ``validate()``,
+``ops.stats.monotonic_violations_ds`` and ``ops.stats.reconcile_ds``
+with their inputs in 4 and in 100 blocks, ``--runs`` times after one
+untimed warm-up. Each line gives a wall time and a digest of the sorted
+output (verdicts and violations for the check), which must agree across
+block counts and checkouts.
 """
 
 from __future__ import annotations
@@ -56,15 +69,93 @@ def operator_busy(stats: str) -> list[tuple[str, float, str]]:
     return [tuple(o) for o in out]
 
 
+def digest(t) -> str:
+    """Short sha256 of a table's rows in sorted order."""
+    import hashlib
+
+    t = t.sort_by([(c, "ascending") for c in t.column_names])
+    return hashlib.sha256(t.to_pandas().to_csv(index=False).encode()).hexdigest()[:16]
+
+
+def keyed(rows: int, runs: int) -> None:
+    """The ``--keyed`` probe (see the module docstring)."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+
+    from vald import pipeline
+    from vald.ops.stats import monotonic_violations_ds, reconcile_ds
+
+    rng = np.random.default_rng(7)
+    n_keys = max(1, rows // 10)
+    k = rng.integers(0, n_keys, rows)
+    o = rng.permutation(rows)
+    v = o * 10.0 + rng.integers(0, 5, rows)
+    v = np.where(rng.random(rows) < 0.05, v - 1e6, v)
+    events = pa.table({"k": k, "o": o, "v": v})
+    balance = np.bincount(k, weights=v, minlength=n_keys)
+    balance[::7] += 1.0
+    accounts = pa.table({"k": np.arange(n_keys), "balance": balance})
+    spec = {
+        "table": "events",
+        "columns": {},
+        "checks": [{"kind": "monotonic", "key": "k", "order": "o", "column": "v"}],
+    }
+
+    def blocks(t, n):
+        return ray.data.from_arrow(t).repartition(n).materialize()
+
+    ev = {n: blocks(events, n) for n in (4, 100)}
+    ac = {n: blocks(accounts, n) for n in (4, 100)}
+
+    def check(n):
+        res = pipeline.validate(ev[n], spec)
+        return digest(res.verdicts_table()) + "/" + digest(res.violations_table())
+
+    def op_monotonic(n):
+        return digest(ray_table(monotonic_violations_ds(ev[n], "k", "o", "v")))
+
+    def op_reconcile(n):
+        return digest(ray_table(reconcile_ds(ac[n], ev[n], "k", "balance", "k", "v")))
+
+    routes = [
+        ("monotonic check in validate()", check),
+        ("ops.stats.monotonic_violations_ds", op_monotonic),
+        ("ops.stats.reconcile_ds", op_reconcile),
+    ]
+    for _, fn in routes:  # warm-up: worker start and imports
+        fn(4)
+    for i in range(runs):
+        for name, fn in routes:
+            for n in (4, 100):
+                t0 = time.perf_counter()
+                out = fn(n)
+                print(
+                    f"run {i}: {name} at {n} blocks: {time.perf_counter() - t0:.2f} s"
+                    f"  digest {out}",
+                    flush=True,
+                )
+
+
+def ray_table(ds):
+    """A Dataset's rows as one Arrow table."""
+    import pyarrow as pa
+
+    return pa.Table.from_pandas(ds.to_pandas(), preserve_index=False)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--dir", required=True)
-    ap.add_argument("--rows", type=int, default=100_000)
+    ap.add_argument("--dir")
+    ap.add_argument("--rows", type=int)
     ap.add_argument("--extra", action="store_true")
+    ap.add_argument("--keyed", action="store_true")
     ap.add_argument("--runs", type=int, default=1)
     ap.add_argument("--num-cpus", type=int, default=2)
     ap.add_argument("--dump")
     a = ap.parse_args()
+    if not a.keyed and not a.dir:
+        ap.error("--dir is required without --keyed")
 
     sys.path.insert(0, ROOT)
     os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -79,6 +170,11 @@ def main() -> None:
 
     ray.init(num_cpus=a.num_cpus, include_dashboard=False, logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
+    if a.keyed:
+        keyed(a.rows or 20_000, a.runs)
+        ray.shutdown()
+        return
+    a.rows = a.rows or 100_000
     d = os.path.join(a.dir, f"corpus-n{a.rows}")
     if not os.path.isdir(os.path.join(d, "corpus")):
         write_corpus(d, a.rows)

@@ -10,17 +10,31 @@ result-row builder (``count_rows``, ``violation_rows``,
 ``result_table``), so they union into the one result stream that
 validate() folds into verdicts.
 
+One exchange: every keyed stage here — the fused kinds, the refint
+child keys, monotonic and reconcile — goes through
+``runtime.keyed_exchange``. It coalesces a materialized stream into
+``runtime.fold_tasks`` blocks sized from the stream's row count (not
+from the input's block count or a bucket count), sorts them on an int
+bucket column and folds whole sorted blocks, so a bucket's rows meet in
+one fold call; every fold is invariant to how many buckets it sees. A
+check's ``num_buckets`` is only the bucket hash's modulus, and exemplar
+caps (``max_violation_rows``) stay per bucket (``_first_per_bucket``).
+
 Fused kinds (``FUSED_KINDS``, one ``{kind: (batch partial, bucket
 fold)}`` table): a kind's *batch partial* runs inside the RowValidator
 pass — the input is read and decoded once — and rides the result
-stream as pipeline.EXT_SCHEMA rows (``rec`` = the kind). ONE sort
-exchange on ``ubucket`` (``fused_exchange``) then folds every fused
-check at once. Its fan-out comes from the partial stream's row count
-(``fold_tasks``), not from the input's block count or a bucket count:
-each sorted block holds whole buckets, is split by constraint_id and
-handed to that kind's *bucket fold*, which is invariant to how many
-buckets it sees. The standalone ``*_check_results(ds, cs, dist)``
-functions run the same partial over ``ds`` and the same fold.
+stream as pipeline.EXT_SCHEMA rows (``rec`` = the kind), bucketed on
+the key string's ``stable_hash64``. ONE exchange on ``ubucket``
+(``fused_exchange``) then folds every fused check at once: each sorted
+block is split by constraint_id and handed to that kind's *bucket
+fold*. The standalone ``*_check_results(ds, cs, dist)`` functions run
+the same partial over ``ds`` and the same fold.
+
+Monotonic and reconcile share their route with their ``ops.stats``
+twins (``monotonic_exchange``, ``reconcile_exchange``): the same
+projection, NULL drop, ``hashing.bucket_ids`` stamp, exchange and
+compare; the check only carries partition id and row_ref through it
+and folds to verdict partials and exemplars.
 
 Shuffle discipline (SURVEY.md "minimize shuffles"): partials are
 pre-aggregated per batch with a vectorized pyarrow ``Table.group_by``,
@@ -44,12 +58,16 @@ from ray.data.aggregate import Sum
 from .hashing import KEY_SEP, stable_hash64
 from .ir import ConstraintSet, DistCheck
 from . import pipeline as P
+from .runtime import (
+    coalesce,
+    join_barrier,
+    join_partitions,
+    join_remote_args,
+    keyed_exchange,
+)
 
 __all__ = [
     "FUSED_KINDS",
-    "ROWS_PER_FOLD_TASK",
-    "fold_tasks",
-    "coalesce",
     "fused_exchange",
     "fused_refint_anti_results",
     "drift_check_results",
@@ -63,17 +81,6 @@ __all__ = [
     "quantile_bounds_check_results",
     "salted_group_counts",
 ]
-
-
-def _key_ref(t: pa.Table, cols: list[str], cs: ConstraintSet) -> list[str]:
-    """Canonical row_ref for a key group: the real row_ref template when
-    the key IS the row_ref key, else '|'-joined values."""
-    if set(cols) == set(cs.row_ref_cols) and cs.row_ref_template:
-        return P.build_row_ref(t, cs).to_pylist()
-    joined = [pc.fill_null(pc.cast(t[c], pa.string()), "<null>") for c in cols]
-    if len(joined) == 1:
-        return joined[0].to_pylist()
-    return pc.binary_join_element_wise(*joined, "|").to_pylist()
 
 
 def _np(col, dtype=np.int64) -> np.ndarray:
@@ -381,41 +388,6 @@ FUSED_KINDS: dict[str, FusedKind] = {
 }
 
 
-# Partial rows per fold task. Measured fold rate ~1.4M rows/s per task
-# (268k unique + fd + cardinality + completeness partial rows of a
-# 100k-row corpus folded in 0.19 s over 2 tasks; Ray at num_cpus=2,
-# 4-vCPU Xeon VM), so a full task folds for ~0.07 s. A sort partition
-# costs ~16 ms of task time (the same stream in 400 partitions: 6.6 s
-# busy), so a smaller stream folds in fewer tasks.
-ROWS_PER_FOLD_TASK = 100_000
-
-
-def fold_tasks(n_rows: int, cpus: int) -> int:
-    """Fold tasks for an exchange over ``n_rows`` partial rows:
-    ``ceil(n_rows / ROWS_PER_FOLD_TASK)`` clamped to [1, cpus]."""
-    return max(1, min(-(-n_rows // ROWS_PER_FOLD_TASK), cpus))
-
-
-def coalesce(raw: "ray.data.Dataset", fn: Callable) -> "ray.data.Dataset":
-    """``fn`` mapped over the materialized stream ``raw`` in
-    ``fold_tasks`` bundles of its blocks (its row count is metadata).
-    A sort makes one partition per input block, so this sets the fan-out
-    of an exchange that follows."""
-    n = raw.count()
-    k = fold_tasks(n, int(ray.cluster_resources().get("CPU", 1)))
-    return raw.map_batches(
-        fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=max(1, -(-n // k))
-    )
-
-
-def _sorted_fold(parts: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
-    """``fold`` over whole blocks of ``parts`` sorted on ``ubucket``: a
-    bucket never spans two blocks (what ``groupby().map_groups`` does,
-    without its per-bucket split), so a fold invariant to the bucket
-    count sees every row of each of its keys at once."""
-    return parts.sort("ubucket").map_batches(fold, batch_format="pyarrow", batch_size=None)
-
-
 def _first_per_bucket(buckets: np.ndarray, cap: int) -> np.ndarray:
     """Indexes of the first ``cap`` entries of each bucket, in order:
     exemplar caps stay per bucket when a fold sees many buckets."""
@@ -428,18 +400,18 @@ def _first_per_bucket(buckets: np.ndarray, cap: int) -> np.ndarray:
 def fused_exchange(
     raw: "ray.data.Dataset", dists: list[DistCheck]
 ) -> "ray.data.Dataset":
-    """Fold every fused check in ``dists`` in ONE exchange over the
-    materialized EXT stream ``raw``: the partial rows of those checks,
-    projected to the columns their folds read, are coalesced into
-    ``fold_tasks`` blocks and sorted on ``ubucket``; each sorted block
-    is split by constraint_id and folded by its kind. Buckets keep each
-    kind's own rule (key hash % the check's ``num_buckets``; one bucket
-    per completeness check), so every key, determinant or group is
-    decided in exactly one fold call, and every fold is invariant to
-    the bucket count. Every fused check of validate() goes through
-    here; each fold returns builder parts
-    (``pipeline.count_rows``/``violation_rows``) and a block's parts
-    become one ``pipeline.result_table``."""
+    """Fold every fused check in ``dists`` in ONE exchange
+    (``runtime.keyed_exchange``) over the materialized EXT stream
+    ``raw``: the partial rows of those checks, projected to the columns
+    their folds read, are coalesced into ``fold_tasks`` blocks and
+    sorted on ``ubucket``; each sorted block is split by constraint_id
+    and folded by its kind. Buckets keep each kind's own rule (key hash
+    % the check's ``num_buckets``; one bucket per completeness check),
+    so every key, determinant or group is decided in exactly one fold
+    call, and every fold is invariant to the bucket count. Every fused
+    check of validate() goes through here; each fold returns builder
+    parts (``pipeline.count_rows``/``violation_rows``) and a block's
+    parts become one ``pipeline.result_table``."""
     by_cid = {d.constraint_id: d for d in dists}
     cid_arr = pa.array(list(by_cid), type=pa.string())
     cols = list(
@@ -468,7 +440,7 @@ def fused_exchange(
             out += FUSED_KINDS[d.kind].fold(g.slice(a, b - a), d)
         return P.result_table(out)
 
-    return _sorted_fold(coalesce(raw, project), per_block)
+    return keyed_exchange(raw, "ubucket", per_block, project)
 
 
 def _standalone(
@@ -514,10 +486,7 @@ def fused_refint_anti_results(
     cid = dist.constraint_id
     cols = list(dist.params["columns"])
     pcols = list(dist.params.get("parent_columns", cols))
-    from .runtime import join_barrier, join_partitions, join_remote_args
-
     P_parts = join_partitions(num_partitions or cs.num_partitions)
-    from .hashing import KEY_SEP
 
     def project_rkey(t: pa.Table) -> pa.Table:
         m = pc.and_(
@@ -528,8 +497,6 @@ def fused_refint_anti_results(
             ["row_ref", "partition_id", "uh", "ubucket", "ucnt"]
         )
 
-    keys = coalesce(raw, project_rkey)
-
     def totals(t: pa.Table) -> pa.Table:
         # verdict n_checked partials straight from the (pre-distinct)
         # partials — sums are exact, no shuffle needed
@@ -538,7 +505,7 @@ def fused_refint_anti_results(
         n_checked = np.bincount(_np(t["partition_id"]), weights=_np(t["ucnt"]))
         return P.result_table([P.count_rows(cid, n_checked, np.zeros_like(n_checked))])
 
-    totals_ds = keys.map_batches(totals, batch_format="pyarrow")
+    totals_ds = coalesce(raw, project_rkey).map_batches(totals, batch_format="pyarrow")
 
     def distinct_child_keys(g: pa.Table) -> pa.Table:
         agg = g.group_by(["uh", "row_ref"], use_threads=False).aggregate(
@@ -547,7 +514,7 @@ def fused_refint_anti_results(
         agg = agg.rename_columns(["uh", "ref", "partition_id", "cnt"])
         return agg.select(["ref", "partition_id", "cnt"])
 
-    child_keys = _sorted_fold(keys, distinct_child_keys)
+    child_keys = keyed_exchange(raw, "ubucket", distinct_child_keys, project_rkey)
 
     def parent_pre(t: pa.Table) -> pa.Table:
         # canonical parent key string, local distinct — the join's right
@@ -734,9 +701,9 @@ def fd_check_results(
 
     NULL policy: rows with NULL determinant or NULL dependent are
     excluded from both counts (COUNT(DISTINCT) semantics; the oracle
-    filters the same way). ``num_buckets`` scales like B4
-    (~distinct determinants / 5M). validate() computes the partials in
-    its row pass; this function runs them over ``ds`` on their own.
+    filters the same way). ``num_buckets`` is only the hash modulus.
+    validate() computes the partials in its row pass; this function
+    runs them over ``ds`` on their own.
     """
     return _standalone(ds, cs, dist)
 
@@ -770,6 +737,31 @@ def salted_group_counts(
     return phase1.groupby(key).aggregate(Sum("cnt", alias_name="cnt"))
 
 
+# the columns the monotonic and reconcile checks carry through their
+# exchange: each row's partition id and row_ref
+_CARRY = [pa.field("__pid", pa.int32()), pa.field("__ref", pa.string())]
+
+
+def _with_carry(
+    ds: "ray.data.Dataset", cs: ConstraintSet, cols: list[str]
+) -> "ray.data.Dataset":
+    """``ds`` pruned to ``cols`` plus the ``_CARRY`` columns (a NULL
+    row_ref reads "<null>"; without a row_ref key it is "")."""
+
+    def add(t: pa.Table) -> pa.Table:
+        ref = P.build_row_ref(t, cs)
+        pids = np.asarray(P.build_partition_ids(t, cs), dtype=np.int32)
+        return (
+            t.select(cols)
+            .append_column("__pid", pa.array(pids))
+            .append_column(
+                "__ref", pa.repeat("", len(t)) if ref is None else pc.fill_null(ref, "<null>")
+            )
+        )
+
+    return ds.map_batches(add, batch_format="pyarrow", zero_copy_batch=True)
+
+
 def monotonic_check_results(
     ds: "ray.data.Dataset", cs: ConstraintSet, dist: DistCheck
 ) -> "ray.data.Dataset":
@@ -780,105 +772,72 @@ def monotonic_check_results(
     mirrors) — "balance never decreases per account", "version only
     moves forward per repo".
 
-    Shape: one key-hash exchange of the PARTICIPATING columns only
-    (key, order, value, partition id, row_ref — a sequence property
-    needs the rows; no partial aggregation exists), then per bucket one
-    Arrow sort + one vectorized slice-compare
-    (``ops.stats.monotonic_flags``, shared with the standalone op).
-    Per-partition attribution is exact: the partition id rides each
-    row, n_checked/n_violations come from one ``np.bincount`` each.
-    Capped exemplars carry the violating row's row_ref and observed
-    (prev -> value) transition. NULL key/order/value rows are excluded
-    from both counts (SQL LAG-filter semantics). ``num_buckets``
-    follows the B4 data-scaled rule."""
-    from .ops.stats import monotonic_flags
+    Shape: ``ops.stats.monotonic_exchange``, the route of the
+    ``monotonic_violations_ds`` op — the PARTICIPATING columns only
+    (key, order, value, plus partition id and row_ref carried along; a
+    sequence property needs the rows, no partial aggregation exists),
+    bucketed by ``hashing.bucket_ids`` of the key, through one keyed
+    exchange whose fan-out comes from the row count; per sorted block
+    one Arrow sort + one vectorized slice-compare
+    (``ops.stats.monotonic_flags``). ``num_buckets`` is only the hash
+    modulus. Per-partition attribution is exact: the partition id
+    rides each row, n_checked/n_violations come from one
+    ``np.bincount`` each. Capped exemplars (``max_violation_rows`` per
+    bucket) carry the violating row's row_ref and observed (prev ->
+    value) transition. NULL key/order/value rows are excluded from both
+    counts (SQL LAG-filter semantics)."""
+    from .ops.stats import monotonic_exchange
 
     key_cols = list(dist.params["key"])
     order_cols = list(dist.params["order"])
     col = dist.params["column"]
     strict = bool(dist.params.get("strict", False))
     direction = dist.params.get("direction", "increasing")
-    increasing = direction == "increasing"
+    detail = f"monotonic[{direction}{',strict' if strict else ''}]"
     cid = dist.constraint_id
-    num_buckets = int(dist.params.get("num_buckets", 256))
     max_rows = _max_rows(dist)
 
-    data_cols = list(dict.fromkeys([*key_cols, *order_cols, col]))
-
-    def pre(t: pa.Table) -> pa.Table:
-        pids = P.build_partition_ids(t, cs)
-        ref = P.build_row_ref(t, cs)
-        small = t.select(data_cols).append_column(
-            "__pid", pa.array(np.asarray(pids, dtype=np.int32))
-        )
-        small = small.append_column(
-            "__ref",
-            pc.fill_null(ref, "<null>")
-            if ref is not None
-            else pa.nulls(len(t), pa.string()),
-        )
-        m = None
-        for c in data_cols:
-            v = pc.is_valid(small[c])
-            m = v if m is None else pc.and_(m, v)
-        small = small.filter(m)
-        h = np.zeros(len(small), dtype=np.uint64)
-        mix = np.uint64(0x9E3779B97F4A7C15)
-        import pandas as pd
-
-        for kc in key_cols:
-            arr = small[kc].to_numpy(zero_copy_only=False)
-            with np.errstate(over="ignore"):
-                h = h * mix + pd.util.hash_array(arr, categorize=False)
-        return small.append_column(
-            "__gb", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__gb"])
+    def fold(g: pa.Table, viol: np.ndarray) -> pa.Table:
         if len(g) == 0:
             return P.result_table([])
-        g, viol = monotonic_flags(
-            g, key_cols, order_cols, col, strict=strict, increasing=increasing
-        )
-        pids = np.asarray(
-            g["__pid"].to_numpy(zero_copy_only=False), dtype=np.int64
-        )
-        Pmax = int(pids.max()) + 1
-        n_checked = np.bincount(pids, minlength=Pmax)
-        n_viol = np.bincount(pids[viol], minlength=Pmax)
-        out = [P.count_rows(cid, n_checked, n_viol, column=col)]
-        idx = np.flatnonzero(viol)[:max_rows]
+        pids = _np(g["__pid"])
+        n_parts = int(pids.max()) + 1
+        out = [
+            P.count_rows(
+                cid,
+                np.bincount(pids, minlength=n_parts),
+                np.bincount(pids[viol], minlength=n_parts),
+                column=col,
+            )
+        ]
+        idx = np.flatnonzero(viol)
+        idx = idx[_first_per_bucket(_np(g["__gb"])[idx], max_rows)]
         if len(idx):
-            take = pa.array(idx, type=pa.int64())
-            prev_take = pa.array(idx - 1, type=pa.int64())
-            refs = g["__ref"].take(take).to_pylist()
-            vals = pc.cast(g[col], pa.string()).take(take).to_pylist()
-            prevs = pc.cast(g[col], pa.string()).take(prev_take).to_pylist()
+            prevs, vals = (
+                pc.cast(g[col].take(i), pa.string()).to_pylist() for i in (idx - 1, idx)
+            )
             out.append(
                 P.violation_rows(
                     cid,
                     pids[idx],
-                    ["" if r is None else r for r in refs],
+                    g["__ref"].take(idx).to_pylist(),
                     [f"{p} -> {v}" for p, v in zip(prevs, vals)],
                     col,
-                    f"monotonic[{direction}{',strict' if strict else ''}]",
+                    detail,
                 )
             )
         return P.result_table(out)
 
-    cols_needed = list(
-        dict.fromkeys(data_cols + _pid_cols(cs) + list(cs.row_ref_cols or []))
-    )
-    pruned = ds.map_batches(
-        lambda t, c=cols_needed: t.select([x for x in c if x in t.column_names]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return (
-        pruned.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__gb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return monotonic_exchange(
+        _with_carry(ds, cs, list(dict.fromkeys([*key_cols, *order_cols, col]))),
+        key_cols,
+        order_cols,
+        col,
+        fold,
+        carry=_CARRY,
+        strict=strict,
+        increasing=direction == "increasing",
+        num_buckets=int(dist.params.get("num_buckets", 256)),
     )
 
 
@@ -895,124 +854,54 @@ def reconcile_check_results(
     (functional shape) expresses. ``other`` resolves from the same
     ``parents=`` mapping refint uses.
 
-    Shape: the other table never ships rows — per-batch per-key partial
-    sums only; the validated side ships (key, value, partition id,
-    row_ref). ONE hash exchange co-locates a key's partials with its
-    rows; per bucket one Arrow hash-aggregate + hash-join, then
-    vectorized compare + ``np.bincount`` per-partition attribution.
-    NULL key/value rows are excluded (unchecked); a key with NO other
-    rows fails reconciliation (``missing_other: "ignore"`` downgrades
-    it to unchecked). Capped exemplars carry row_ref and the
-    ``value != sum`` pair."""
-    import pandas as pd
+    Shape: ``ops.stats.reconcile_exchange``, the route of the
+    ``reconcile_ds`` op — the other table never ships rows, only
+    per-batch per-key partial sums; the validated side ships (key,
+    value, plus partition id and row_ref carried along). One keyed
+    exchange, bucketed by ``hashing.bucket_ids`` of the key and sized
+    from the row count, co-locates a key's partials with its rows; per
+    sorted block one Arrow hash-aggregate + hash-join and the op's
+    compare, then ``np.bincount`` per-partition attribution.
+    ``num_buckets`` is only the hash modulus. NULL key/value rows are
+    excluded (unchecked); a NaN value or NaN other-sum fails, as in
+    the op and DuckDB; a key with NO other rows fails reconciliation
+    (``missing_other: "ignore"`` downgrades it to unchecked). Capped
+    exemplars (``max_violation_rows`` per bucket) carry row_ref and
+    the ``value != sum`` pair."""
+    from .ops.stats import reconcile_exchange
 
     key = dist.params["key"]
     col = dist.params["column"]
-    okey = dist.params["other_key"]
-    osum = dist.params["other_sum"]
-    tol = float(dist.params.get("tolerance", 0.01))
     missing_viol = dist.params.get("missing_other", "violation") == "violation"
     cid = dist.constraint_id
-    num_buckets = int(dist.params.get("num_buckets", 256))
     max_rows = _max_rows(dist)
-    mix_mod = np.uint64(num_buckets)
 
-    def _bucket(k: "pa.ChunkedArray") -> np.ndarray:
-        arr = k.to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            h = pd.util.hash_array(arr, categorize=False)
-        return (h % mix_mod).astype(np.int32)
-
-    def other_partial(t: pa.Table) -> pa.Table:
-        small = pa.table(
-            {
-                "key": pc.cast(t[okey], pa.string()),
-                "val": pc.cast(t[osum], pa.float64()),
-            }
-        ).drop_null()
-        agg = (
-            small.group_by(["key"], use_threads=False)
-            .aggregate([("val", "sum")])
-            .rename_columns(["key", "val"])
-        )
-        n = len(agg)
-        return pa.table(
-            {
-                "__b": pa.array(_bucket(agg["key"])),
-                "key": agg["key"],
-                "val": agg["val"],
-                "__pid": pa.array(np.full(n, -1, dtype=np.int32)),
-                "__ref": pa.nulls(n, pa.string()),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-            }
-        )
-
-    def parent_partial(t: pa.Table) -> pa.Table:
-        pids = P.build_partition_ids(t, cs)
-        ref = P.build_row_ref(t, cs)
-        small = pa.table(
-            {
-                "key": pc.cast(t[key], pa.string()),
-                "val": pc.cast(t[col], pa.float64()),
-                "__pid": pa.array(np.asarray(pids, dtype=np.int32)),
-                "__ref": pc.fill_null(ref, "<null>")
-                if ref is not None
-                else pa.nulls(len(t), pa.string()),
-            }
-        )
-        m = pc.and_(pc.is_valid(small["key"]), pc.is_valid(small["val"]))
-        small = small.filter(m)
-        n = len(small)
-        return pa.table(
-            {
-                "__b": pa.array(_bucket(small["key"])),
-                "key": small["key"],
-                "val": small["val"],
-                "__pid": small["__pid"],
-                "__ref": small["__ref"],
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-            }
-        )
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy(zero_copy_only=False)
-        ch = g.filter(pa.array(side == 1)).select(["key", "val"])
-        pt = g.filter(pa.array(side == 0)).select(
-            ["key", "val", "__pid", "__ref"]
-        )
-        if len(pt) == 0:
+    def fold(j: pa.Table) -> pa.Table:
+        if len(j) == 0:
             return P.result_table([])
-        sums = (
-            ch.group_by(["key"], use_threads=False)
-            .aggregate([("val", "sum")])
-            .rename_columns(["key", "child_sum"])
-        )
-        joined = pt.rename_columns(["key", "parent_val", "__pid", "__ref"]).join(
-            sums, keys="key", join_type="left outer"
-        )
-        pv = joined["parent_val"].to_numpy(zero_copy_only=False)
-        csc = joined["child_sum"]
-        missing = pc.is_null(csc).to_numpy(zero_copy_only=False)
-        cv = pc.fill_null(csc, 0.0).to_numpy(zero_copy_only=False)
-        with np.errstate(invalid="ignore"):
-            bad_diff = ~missing & (np.abs(pv - cv) > tol)
-        viol = bad_diff | (missing & missing_viol)
+        missing = _np(pc.is_null(j["child_sum"]), bool)
         checked = ~missing | missing_viol  # ignored-missing rows: unchecked
-        pids = np.asarray(
-            joined["__pid"].to_numpy(zero_copy_only=False), dtype=np.int64
-        )
-        Pmax = int(pids.max()) + 1
-        n_checked = np.bincount(pids[checked], minlength=Pmax)
-        n_viol = np.bincount(pids[viol], minlength=Pmax)
-        out = [P.count_rows(cid, n_checked, n_viol, column=col)]
-        idx = np.flatnonzero(viol)[:max_rows]
+        viol = checked & ~_np(j["ok"], bool)
+        pids = _np(j["__pid"])
+        n_parts = int(pids.max()) + 1
+        out = [
+            P.count_rows(
+                cid,
+                np.bincount(pids[checked], minlength=n_parts),
+                np.bincount(pids[viol], minlength=n_parts),
+                column=col,
+            )
+        ]
+        idx = np.flatnonzero(viol)
+        idx = idx[_first_per_bucket(_np(j["__gb"])[idx], max_rows)]
         if len(idx):
-            refs = joined["__ref"].take(pa.array(idx, type=pa.int64())).to_pylist()
+            pv = _np(j["parent_val"], np.float64)
+            cv = _np(pc.fill_null(j["child_sum"], 0.0), np.float64)
             out.append(
                 P.violation_rows(
                     cid,
                     pids[idx],
-                    ["" if r is None else r for r in refs],
+                    j["__ref"].take(idx).to_pylist(),
                     [
                         f"{pv[i]!r} != sum "
                         f"{'<missing>' if missing[i] else repr(float(cv[i]))}"
@@ -1024,18 +913,18 @@ def reconcile_check_results(
             )
         return P.result_table(out)
 
-    pruned_cols = list(dict.fromkeys([key, col] + _pid_cols(cs) + list(cs.row_ref_cols or [])))
-    pruned = ds.map_batches(
-        lambda t, c=pruned_cols: t.select([x for x in c if x in t.column_names]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    return reconcile_exchange(
+        _with_carry(ds, cs, list(dict.fromkeys([key, col]))),
+        other,
+        key,
+        col,
+        dist.params["other_key"],
+        dist.params["other_sum"],
+        fold,
+        carry=_CARRY,
+        tolerance=float(dist.params.get("tolerance", 0.01)),
+        num_buckets=int(dist.params.get("num_buckets", 256)),
     )
-    both = other.map_batches(
-        other_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        pruned.map_batches(parent_partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    return both.groupby("__b").map_groups(per_bucket, batch_format="pyarrow")
 
 
 def freshness_check_results(

@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-__all__ = ["stable_hash64", "partition_ids", "sha256_hex_column"]
+__all__ = ["stable_hash64", "bucket_ids", "partition_ids", "sha256_hex_column"]
 
 
 def _as_object_array(values) -> np.ndarray:
@@ -37,6 +37,24 @@ def stable_hash64(values) -> np.ndarray:
 
 # composite-key join separator, safe for stable_hash64 (see caveat above)
 KEY_SEP = "\x1f"
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def bucket_ids(arrays, num_buckets: int) -> np.ndarray:
+    """int32 hash bucket of each row of the key columns ``arrays``
+    (Arrow arrays of one length): the pandas siphash of each column
+    folded as ``h = h * 0x9E3779B97F4A7C15 + hash(column)``, then
+    ``% num_buckets``. The one bucket hash of every keyed exchange;
+    NULLs hash like values."""
+    h = np.zeros(len(arrays[0]), dtype=np.uint64)
+    for a in arrays:
+        with np.errstate(over="ignore"):
+            h = h * _MIX + pd.util.hash_array(
+                a.to_numpy(zero_copy_only=False), categorize=False
+            )
+    return (h % np.uint64(num_buckets)).astype(np.int32)
 
 
 def partition_ids(values, num_partitions: int) -> np.ndarray:

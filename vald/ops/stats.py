@@ -24,14 +24,14 @@ zero-variance groups emit NULL z (division by zero is not data).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
 
-from ..runtime import bucketed_group_agg
+from ..hashing import bucket_ids
+from ..runtime import bucketed_group_agg, keyed_exchange
 
 
 def group_moments(
@@ -649,13 +649,16 @@ def fd_groups_ds(
        ``(det…, dep) -> cnt`` via one Arrow hash-aggregate — the
        exchange carries one row per distinct pair per batch, never the
        input rows.
-    2. The shuffle key is a hash bucket of the DETERMINANT only, so
-       every pair of one determinant lands in one group; the combine
+    2. The shuffle key is ``hashing.bucket_ids`` of the DETERMINANT
+       only (``num_buckets`` is its modulus), so every pair of one
+       determinant lands in one bucket; ``runtime.keyed_exchange``
+       sorts the pairs on it in blocks sized from their row count, and
+       the combine runs per sorted block of whole buckets: it
        re-aggregates pairs exactly (sum of counts), then folds to one
        row per determinant — ``n_dep`` distinct dependents (row count
        of the pair table) and ``n_rows`` (sum of counts) — and filters
        to the violators. No second exchange exists: the det-only
-       bucketing makes the final fold bucket-local.
+       bucketing makes the final fold block-local.
 
     NULL policy: rows with a NULL determinant or NULL dependent are
     excluded (SQL oracle: ``WHERE det IS NOT NULL AND dep IS NOT
@@ -665,19 +668,13 @@ def fd_groups_ds(
     """
     det = [determinant] if isinstance(determinant, str) else list(determinant)
     cols = det + [dependent]
-    mix = np.uint64(0x9E3779B97F4A7C15)
 
     def local_pairs(t: pa.Table) -> pa.Table:
         t = t.select(cols).drop_null()
         agg = t.group_by(cols, use_threads=False).aggregate([([], "count_all")])
         agg = agg.rename_columns(cols + ["cnt"])
-        h = np.zeros(len(agg), dtype=np.uint64)
-        for kc in det:
-            arr = agg[kc].to_numpy(zero_copy_only=False)
-            with np.errstate(over="ignore"):
-                h = h * mix + pd.util.hash_array(arr, categorize=False)
         return agg.append_column(
-            "__gb", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
+            "__gb", pa.array(bucket_ids([agg[kc] for kc in det], num_buckets))
         )
 
     def combine(g: pa.Table) -> pa.Table:
@@ -699,10 +696,10 @@ def fd_groups_ds(
             )
         )
 
-    return (
-        ds.map_batches(local_pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__gb")
-        .map_groups(combine, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(local_pairs, batch_format="pyarrow", zero_copy_batch=True),
+        "__gb",
+        combine,
     )
 
 
@@ -753,6 +750,48 @@ def monotonic_flags(
     return g, np.concatenate(([False], same & steps))
 
 
+def monotonic_exchange(
+    ds: "ray.data.Dataset",
+    key_cols: "list[str]",
+    order_cols: "list[str]",
+    col: str,
+    fold,
+    *,
+    carry: "list[pa.Field]" = (),
+    strict: bool = False,
+    increasing: bool = True,
+    num_buckets: int = 256,
+) -> "ray.data.Dataset":
+    """The monotonic route shared by ``monotonic_violations_ds`` and the
+    ``kind: monotonic`` check: ``ds`` projected to the key, order and
+    value columns plus the ``carry`` columns, rows holding a NULL
+    dropped, each row stamped ``__gb`` = ``hashing.bucket_ids`` of its
+    key, then ONE ``runtime.keyed_exchange`` (fan-out from the row
+    count). ``fold(g, viol)`` gets each sorted block — whole keys,
+    sorted by (key…, order…) by ``monotonic_flags`` — and its violation
+    mask, and returns the block's output table."""
+    cols = list(dict.fromkeys([*key_cols, *order_cols, col]))
+    keep = cols + [f.name for f in carry]
+
+    def stamp(t: pa.Table) -> pa.Table:
+        t = t.select(keep).drop_null()
+        return t.append_column(
+            "__gb", pa.array(bucket_ids([t[kc] for kc in key_cols], num_buckets))
+        )
+
+    def per_block(g: pa.Table) -> pa.Table:
+        g, viol = monotonic_flags(
+            g, key_cols, order_cols, col, strict=strict, increasing=increasing
+        )
+        return fold(g, viol)
+
+    return keyed_exchange(
+        ds.map_batches(stamp, batch_format="pyarrow", zero_copy_batch=True),
+        "__gb",
+        per_block,
+    )
+
+
 def monotonic_violations_ds(
     ds: "ray.data.Dataset",
     key: "str | list[str]",
@@ -770,13 +809,15 @@ def monotonic_violations_ds(
     mirrors). The classic event-log invariants — "balance never
     decreases per account", "version only moves forward per repo".
 
-    Shape (100 TB): ONE key-hash exchange moves each participating row
+    Shape (100 TB): ``monotonic_exchange`` moves each participating row
     once into its key's bucket (ordering needs the actual rows — no
-    partial aggregation exists for a sequence property); the per-bucket
-    pass is one Arrow sort + one vectorized slice-compare
-    (``monotonic_flags``), then a per-key Arrow hash-aggregate. Bucket
-    count follows the B4 data-scaled rule. NULL key/order/value rows
-    are excluded (the SQL oracle filters the same way).
+    partial aggregation exists for a sequence property) through one
+    keyed exchange sized from the row count; each sorted block is one
+    Arrow sort + one vectorized slice-compare (``monotonic_flags``),
+    then a per-key Arrow hash-aggregate. ``num_buckets`` is only the
+    hash modulus: the output does not depend on it. NULL
+    key/order/value rows are excluded (the SQL oracle filters the same
+    way).
 
     Returns a Dataset of ``key…, n_rows:int64, n_violations:int64`` —
     one row per key (keys with zero violations included: the check's
@@ -785,26 +826,8 @@ def monotonic_violations_ds(
         raise ValueError("direction must be 'increasing' or 'decreasing'")
     key_cols = [key] if isinstance(key, str) else list(key)
     order_cols = [order] if isinstance(order, str) else list(order)
-    cols = list(dict.fromkeys([*key_cols, *order_cols, col]))
-    mix = np.uint64(0x9E3779B97F4A7C15)
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        t = t.select(cols).drop_null()
-        h = np.zeros(len(t), dtype=np.uint64)
-        for kc in key_cols:
-            arr = t[kc].to_numpy(zero_copy_only=False)
-            with np.errstate(over="ignore"):
-                h = h * mix + pd.util.hash_array(arr, categorize=False)
-        return t.append_column(
-            "__gb", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__gb"])
-        g, viol = monotonic_flags(
-            g, key_cols, order_cols, col,
-            strict=strict, increasing=(direction == "increasing"),
-        )
+    def per_key(g: pa.Table, viol: np.ndarray) -> pa.Table:
         small = g.select(key_cols).append_column(
             "n_violations", pa.array(viol.astype(np.int64))
         )
@@ -815,16 +838,103 @@ def monotonic_violations_ds(
         )
         return agg.select([*key_cols, "n_rows", "n_violations"])
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__gb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return monotonic_exchange(
+        ds, key_cols, order_cols, col, per_key,
+        strict=strict, increasing=(direction == "increasing"),
+        num_buckets=num_buckets,
     )
 
 
 # ---------------------------------------------------------------------------
 # Cross-table reconciliation — parent column vs child aggregate
 # ---------------------------------------------------------------------------
+
+
+def reconcile_exchange(
+    parent: "ray.data.Dataset",
+    child: "ray.data.Dataset",
+    key: str,
+    col: str,
+    other_key: str,
+    other_sum: str,
+    fold,
+    *,
+    carry: "list[pa.Field]" = (),
+    tolerance: float = 0.01,
+    num_buckets: int = 256,
+) -> "ray.data.Dataset":
+    """The reconcile route shared by ``reconcile_ds`` and the ``kind:
+    reconcile`` check. The child side ships per-batch per-key partial
+    sums only; the parent side ships (key, value) plus the ``carry``
+    columns, rows holding a NULL dropped. Keys are cast to string and
+    stamped ``__gb`` = ``hashing.bucket_ids`` of the key, and ONE
+    ``runtime.keyed_exchange`` (fan-out from the row count) co-locates a
+    key's partials with its parent rows. Per sorted block: one Arrow
+    hash-aggregate of the child sums, one left hash-join onto the
+    parent rows, and ``ok`` = |parent_val - child_sum| <= tolerance,
+    False when the child sum is missing or either side is NaN (DuckDB's
+    rule). ``fold(joined)`` gets ``key, parent_val, child_sum, ok``,
+    the carry columns and ``__gb``, one row per parent row of the
+    block, and returns the block's output table."""
+    names = [f.name for f in carry]
+
+    def sides(t: pa.Table, side: int) -> pa.Table:
+        return t.append_column(
+            "__gb", pa.array(bucket_ids([t["key"]], num_buckets))
+        ).append_column("side", pa.array(np.full(len(t), side, dtype=np.int8)))
+
+    def child_partial(t: pa.Table) -> pa.Table:
+        small = pa.table(
+            {
+                "key": pc.cast(t[other_key], pa.string()),
+                "val": pc.cast(t[other_sum], pa.float64()),
+            }
+        ).drop_null()
+        agg = (
+            small.group_by(["key"], use_threads=False)
+            .aggregate([("val", "sum")])
+            .rename_columns(["key", "val"])
+        )
+        for f in carry:
+            agg = agg.append_column(f, pa.nulls(len(agg), f.type))
+        return sides(agg, 1)
+
+    def parent_partial(t: pa.Table) -> pa.Table:
+        small = pa.table(
+            {
+                "key": pc.cast(t[key], pa.string()),
+                "val": pc.cast(t[col], pa.float64()),
+                **{c: t[c] for c in names},
+            }
+        ).drop_null()
+        return sides(small, 0)
+
+    def per_block(g: pa.Table) -> pa.Table:
+        side = g["side"].to_numpy(zero_copy_only=False)
+        sums = (
+            g.filter(pa.array(side == 1))
+            .group_by(["key"], use_threads=False)
+            .aggregate([("val", "sum")])
+            .rename_columns(["key", "child_sum"])
+        )
+        joined = (
+            g.filter(pa.array(side == 0))
+            .select(["key", "val", *names, "__gb"])
+            .rename_columns(["key", "parent_val", *names, "__gb"])
+            .join(sums, keys="key", join_type="left outer")
+        )
+        diff = pc.abs(pc.subtract(joined["parent_val"], joined["child_sum"]))
+        ok = pc.fill_null(pc.less_equal(diff, pa.scalar(tolerance)), False)
+        return fold(joined.append_column("ok", ok))
+
+    both = child.map_batches(
+        child_partial, batch_format="pyarrow", zero_copy_batch=True
+    ).union(
+        parent.map_batches(
+            parent_partial, batch_format="pyarrow", zero_copy_batch=True
+        )
+    )
+    return keyed_exchange(both, "__gb", per_block)
 
 
 def reconcile_ds(
@@ -845,103 +955,23 @@ def reconcile_ds(
     balance equals the sum of its ledger entries") that neither refint
     nor FD expresses.
 
-    Shape (100 TB): the child NEVER ships rows — each batch collapses
-    to per-key partial sums first; parents ship (key, value) plus the
-    join bucket. One hash exchange co-locates a key's partials and its
-    parent row; the per-bucket combine is one Arrow hash-aggregate +
-    one Arrow hash-join. Parent rows with a NULL key or NULL value are
-    excluded (unchecked); a parent key with NO child rows surfaces as
+    Shape (100 TB): ``reconcile_exchange`` — the child NEVER ships
+    rows, only per-batch per-key partial sums; parents ship (key,
+    value). One keyed exchange sized from the row count co-locates a
+    key's partials and its parent row; ``num_buckets`` is only the hash
+    modulus. Parent rows with a NULL key or NULL value are excluded
+    (unchecked); a parent key with NO child rows surfaces as
     ``child_sum`` NULL and ``ok`` false (a missing ledger is a failed
-    reconciliation — filter upstream when absence is legitimate).
+    reconciliation — filter upstream when absence is legitimate), and
+    so does a NaN value or child sum.
 
     Returns a Dataset of ``key:string, parent_val:float64,
     child_sum:float64?, ok:bool`` — one row per checked parent row."""
-    mix = np.uint64(0x9E3779B97F4A7C15)
-
-    def _bucket(k: "pa.ChunkedArray") -> np.ndarray:
-        arr = k.to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            h = pd.util.hash_array(arr, categorize=False)
-        return (h % np.uint64(num_buckets)).astype(np.int32)
-
-    def child_partial(t: pa.Table) -> pa.Table:
-        small = pa.table(
-            {
-                "key": pc.cast(t[other_key], pa.string()),
-                "val": pc.cast(t[other_sum], pa.float64()),
-            }
-        ).drop_null()
-        agg = (
-            small.group_by(["key"], use_threads=False)
-            .aggregate([("val", "sum")])
-            .rename_columns(["key", "val"])
-        )
-        return pa.table(
-            {
-                "__b": pa.array(_bucket(agg["key"])),
-                "key": agg["key"],
-                "val": agg["val"],
-                "side": pa.array(np.ones(len(agg), dtype=np.int8)),
-            }
-        )
-
-    def parent_partial(t: pa.Table) -> pa.Table:
-        small = pa.table(
-            {
-                "key": pc.cast(t[key], pa.string()),
-                "val": pc.cast(t[col], pa.float64()),
-            }
-        ).drop_null()
-        return pa.table(
-            {
-                "__b": pa.array(_bucket(small["key"])),
-                "key": small["key"],
-                "val": small["val"],
-                "side": pa.array(np.zeros(len(small), dtype=np.int8)),
-            }
-        )
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy(zero_copy_only=False)
-        ch = g.filter(pa.array(side == 1)).select(["key", "val"])
-        pt = g.filter(pa.array(side == 0)).select(["key", "val"])
-        empty = pa.table(
-            {
-                "key": pa.array([], pa.string()),
-                "parent_val": pa.array([], pa.float64()),
-                "child_sum": pa.array([], pa.float64()),
-                "ok": pa.array([], pa.bool_()),
-            }
-        )
-        if len(pt) == 0:
-            return empty  # child-only keys: reconcile is parent-anchored
-        sums = (
-            ch.group_by(["key"], use_threads=False)
-            .aggregate([("val", "sum")])
-            .rename_columns(["key", "child_sum"])
-        )
-        joined = pt.rename_columns(["key", "parent_val"]).join(
-            sums, keys="key", join_type="left outer"
-        )
-        diff = pc.abs(pc.subtract(joined["parent_val"], joined["child_sum"]))
-        ok = pc.fill_null(pc.less_equal(diff, pa.scalar(tolerance)), False)
-        return pa.table(
-            {
-                "key": joined["key"],
-                "parent_val": joined["parent_val"],
-                "child_sum": joined["child_sum"],
-                "ok": ok,
-            }
-        )
-
-    both = child.map_batches(
-        child_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        parent.map_batches(
-            parent_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
+    return reconcile_exchange(
+        parent, child, key, col, other_key, other_sum,
+        lambda j: j.select(["key", "parent_val", "child_sum", "ok"]),
+        tolerance=tolerance, num_buckets=num_buckets,
     )
-    return both.groupby("__b").map_groups(per_bucket, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,16 @@ Execution shape (Ray-Data-first, BASELINE.json north_rule):
   materialized and feeds every later stage.
 - ONE sort exchange on ``ubucket`` folds all fused kinds together
   (constraints_dist.fused_exchange), one fold call per check per
-  sorted block; its fan-out comes from the stream's row count, not
-  from the input's block count. The large-parent refint anti-join runs
-  its own exchange, sized the same way, over the same materialized
-  stream.
+  sorted block. The large-parent refint anti-join runs its own
+  exchange over the same materialized stream.
 - drift, group_drift, freshness, monotonic, reconcile and
   quantile_bounds still read the input themselves (their own pruned
-  pass) and UNION their result rows into the same schema.
+  pass) and UNION their result rows into the same schema. Monotonic
+  and reconcile share their route with their ops.stats twins.
+- Every keyed exchange above is ``runtime.keyed_exchange``: one
+  bucket hash (``hashing.bucket_ids``, or the fused kinds' key-string
+  hash), a fan-out from the exchanged stream's row count, not from the
+  input's block count, and folds over whole sorted blocks.
 - Result rows are built only by this module's builder (``result_cols``,
   ``count_rows``, ``violation_rows``, ``result_table``): every check,
   here and in constraints_dist and drift, hands it column parts.
@@ -744,6 +747,7 @@ class _TaskValidator:
 # runtime.broadcast_or_semijoin / runtime.guarded_broadcast.
 from .runtime import (  # noqa: E402
     DEFAULT_MAX_BROADCAST_KEYS,
+    coalesce,
     distinct_keys,
     local_distinct_keys,
 )
@@ -916,7 +920,7 @@ def validate(
     fused = [d for d in cs.dist_checks if d.kind in cd.FUSED_KINDS]
     if fused or refint_fused:
         raw = raw.materialize()
-        combined = cd.coalesce(raw, _project_res)
+        combined = coalesce(raw, _project_res)
     else:
         combined = raw.map_batches(
             _project_res, batch_format="pyarrow", zero_copy_batch=True

@@ -10,6 +10,10 @@ __all__ = [
     "join_remote_args",
     "join_barrier",
     "bucketed_group_agg",
+    "keyed_exchange",
+    "coalesce",
+    "fold_tasks",
+    "ROWS_PER_FOLD_TASK",
     "broadcast_or_semijoin",
     "guarded_broadcast",
     "ts_to_us_int64",
@@ -593,26 +597,19 @@ def bucketed_group_agg(
     maxes; count partials must arrive as a column combined with
     "sum"). Output columns keep their input names. Grouping is exact —
     a key lives in exactly one bucket; hash quality only balances
-    buckets, never correctness. NULL keys hash like values (pandas
-    siphash) and group together as in Arrow group_by.
+    buckets, never correctness. NULL keys hash like values
+    (``hashing.bucket_ids``) and group together as in Arrow group_by.
     """
-    import numpy as np
-    import pandas as pd
     import pyarrow as pa
+
+    from .hashing import bucket_ids
 
     key_list = [keys] if isinstance(keys, str) else list(keys)
     out_names = key_list + [c for c, _ in aggs]
-    mix = np.uint64(0x9E3779B97F4A7C15)
 
     def stamp(t: "pa.Table") -> "pa.Table":
-        h = np.zeros(len(t), dtype=np.uint64)
-        for kc in key_list:
-            arr = t[kc].to_numpy(zero_copy_only=False)
-            with np.errstate(over="ignore"):
-                h = h * mix + pd.util.hash_array(arr, categorize=False)
-        return t.append_column(
-            "__gb", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
+        ids = bucket_ids([t[kc] for kc in key_list], num_buckets)
+        return t.append_column("__gb", pa.array(ids))
 
     def combine(g: "pa.Table") -> "pa.Table":
         r = g.group_by(key_list, use_threads=False).aggregate(aggs)
@@ -622,4 +619,51 @@ def bucketed_group_agg(
         ds.map_batches(stamp, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("__gb")
         .map_groups(combine, batch_format="pyarrow")
+    )
+
+
+# Partial rows per fold task. Measured fold rate ~1.4M rows/s per task
+# (268k unique + fd + cardinality + completeness partial rows of a
+# 100k-row corpus folded in 0.19 s over 2 tasks; Ray at num_cpus=2,
+# 4-vCPU Xeon VM), so a full task folds for ~0.07 s. A sort partition
+# costs ~16 ms of task time (the same stream in 400 partitions: 6.6 s
+# busy), so a smaller stream folds in fewer tasks.
+ROWS_PER_FOLD_TASK = 100_000
+
+
+def fold_tasks(n_rows: int, cpus: int) -> int:
+    """Fold tasks for an exchange over ``n_rows`` partial rows:
+    ``ceil(n_rows / ROWS_PER_FOLD_TASK)`` clamped to [1, cpus]."""
+    return max(1, min(-(-n_rows // ROWS_PER_FOLD_TASK), cpus))
+
+
+def coalesce(raw: "ray.data.Dataset", fn) -> "ray.data.Dataset":
+    """``fn`` mapped over the materialized stream ``raw`` in
+    ``fold_tasks`` bundles of its blocks (its row count is metadata).
+    A sort makes one partition per input block, so this sets the fan-out
+    of an exchange that follows."""
+    n = raw.count()
+    k = fold_tasks(n, int(ray.cluster_resources().get("CPU", 1)))
+    return raw.map_batches(
+        fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=max(1, -(-n // k))
+    )
+
+
+def keyed_exchange(parts, bucket_col: str, fold, project=None) -> "ray.data.Dataset":
+    """The keyed exchange: ``parts`` (materialized first unless it
+    already is) is coalesced into ``fold_tasks`` blocks sized from its
+    row count (``project``, if given, mapped over it on the way), sorted
+    on the int bucket column ``bucket_col``, and ``fold`` runs over each
+    whole sorted block. A bucket never spans two blocks (what
+    ``groupby().map_groups`` gives, without its per-bucket split or its
+    one partition per input block), so a fold that is invariant to the
+    bucket count sees every row of each of its keys at once."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(parts, MaterializedDataset):
+        parts = parts.materialize()
+    return (
+        coalesce(parts, project or (lambda t: t))
+        .sort(bucket_col)
+        .map_batches(fold, batch_format="pyarrow", batch_size=None)
     )
