@@ -28,14 +28,14 @@ import test_reconcile
 
 def test_fold_tasks_bounds():
     r = runtime.ROWS_PER_FOLD_TASK
-    assert runtime.fold_tasks(0, 4) == 1  # empty stream: still one task
-    assert runtime.fold_tasks(1, 4) == 1
-    assert runtime.fold_tasks(r, 4) == 1
-    assert runtime.fold_tasks(r + 1, 4) == 2
-    assert runtime.fold_tasks(3 * r, 8) == 3
-    assert runtime.fold_tasks(100 * r, 2) == 2  # at most the cluster's CPUs
-    assert runtime.fold_tasks(100 * r, 1) == 1
-    assert runtime.fold_tasks(100 * r, 0) == 1
+    assert runtime.fold_tasks(0) == 1  # empty stream: still one task
+    assert runtime.fold_tasks(1) == 1
+    assert runtime.fold_tasks(r) == 1
+    assert runtime.fold_tasks(r + 1) == 2
+    assert runtime.fold_tasks(3 * r) == 3
+    # not clamped to the cluster's CPUs: a task never folds more than r rows
+    assert runtime.fold_tasks(100 * r) == 100
+    assert runtime.fold_tasks(100 * r + 1) == 101
 
 
 @pytest.fixture
@@ -49,10 +49,10 @@ def forced_fold_tasks(monkeypatch):
     def force(k):
         real = runtime.fold_tasks
 
-        def sized(n_rows, cpus):
+        def sized(n_rows):
             if k is not None:
                 monkeypatch.setattr(runtime, "ROWS_PER_FOLD_TASK", max(1, -(-n_rows // k)))
-            chosen.append(real(n_rows, cpus))
+            chosen.append(real(n_rows))
             return chosen[-1]
 
         monkeypatch.setattr(runtime, "fold_tasks", sized)
@@ -94,27 +94,61 @@ def test_keyed_parity_at_forced_fold_tasks(ray_session, forced_fold_tasks, k):
     assert chosen and max(chosen) == k
 
 
+def _old_bucket_loop(t: pa.Table, cols: list[str], nb: int) -> np.ndarray:
+    """The loop every keyed route used to write out."""
+    mix = np.uint64(0x9E3779B97F4A7C15)
+    h = np.zeros(len(t), dtype=np.uint64)
+    for c in cols:
+        arr = t[c].to_numpy(zero_copy_only=False)
+        with np.errstate(over="ignore"):
+            h = h * mix + pd.util.hash_array(arr, categorize=False)
+    return (h % np.uint64(nb)).astype(np.int32)
+
+
 def test_bucket_ids_is_the_folded_siphash():
-    """``bucket_ids`` equals the loop every keyed route used to write
-    out, on an int and a string column holding NULLs."""
+    """``bucket_ids`` equals the old loop on an int and a string column
+    without NULLs."""
     t = pa.table(
         {
-            "i": pa.array([3, None, -7, 3, 0, 2**40], type=pa.int64()),
-            "s": pa.array(["a", "b", None, "a", "", "a\x1fb"]),
+            "i": pa.array([3, 5, -7, 3, 0, 2**40], type=pa.int64()),
+            "s": pa.array(["a", "b", "c", "a", "", "a\x1fb"]),
         }
     )
-    mix = np.uint64(0x9E3779B97F4A7C15)
     for cols in (["i"], ["s"], ["i", "s"], ["s", "i"]):
         for nb in (1, 7, 256):
-            h = np.zeros(len(t), dtype=np.uint64)
-            for c in cols:
-                arr = t[c].to_numpy(zero_copy_only=False)
-                with np.errstate(over="ignore"):
-                    h = h * mix + pd.util.hash_array(arr, categorize=False)
-            want = (h % np.uint64(nb)).astype(np.int32)
             got = bucket_ids([t[c] for c in cols], nb)
             assert got.dtype == np.int32
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, _old_bucket_loop(t, cols, nb))
+
+
+@pytest.mark.parametrize(
+    "typ, vals",
+    [
+        (pa.int64(), [3, 5, -7, 2**40]),
+        (pa.int32(), [3, 5, -7, 9]),
+        (pa.bool_(), [True, False, True, False]),
+        (pa.float64(), [3.0, 5.5, float("nan"), -0.0]),
+        (pa.string(), ["a", "b", "", "a\x1fb"]),
+    ],
+)
+def test_bucket_ids_of_a_key_ignores_nulls_elsewhere_in_its_batch(typ, vals):
+    """One key, two batches, one of them holding a NULL: the key lands
+    in the same bucket in both (the old loop hashed an int or bool
+    column holding a NULL as float64 or object, so it did not). A
+    batch without NULLs keeps the old loop's buckets."""
+    clean = pa.table({"k": pa.array(vals, type=typ)})
+    holed = pa.table({"k": pa.array([None, *vals, None], type=typ)})
+    for nb in (7, 256, 2**31 - 1):
+        want = bucket_ids([clean["k"]], nb)
+        np.testing.assert_array_equal(want, _old_bucket_loop(clean, ["k"], nb))
+        got = bucket_ids([holed["k"]], nb)
+        np.testing.assert_array_equal(got[1:-1], want)
+        assert got[0] == got[-1]  # every NULL shares one bucket
+    two = pa.table({"k": holed["k"], "s": pa.array(["x"] * len(holed))})
+    np.testing.assert_array_equal(
+        bucket_ids([two["k"], two["s"]], 256)[1:-1],
+        bucket_ids([clean["k"], pa.array(["x"] * len(clean))], 256),
+    )
 
 
 def _monotonic_spec(**over):

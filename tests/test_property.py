@@ -60,7 +60,9 @@ def test_exact_quantile_matches_duckdb(ray_session, vals, q):
     con = duckdb.connect()
     con.execute("CREATE TABLE t (x DOUBLE)")
     con.executemany("INSERT INTO t VALUES (?)", [(v,) for v in clean])
-    want = con.execute(f"SELECT quantile_cont(x, {q!r}) FROM t").fetchone()[0]
+    # q as a DOUBLE literal: DuckDB parses "0.9999999999999999" as
+    # DECIMAL(17,16), which casts to exactly 1.0 (another quantile)
+    want = con.execute(f"SELECT quantile_cont(x, {q:.17e}) FROM t").fetchone()[0]
     if np.isfinite(want):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
     elif np.isnan(want):  # a -inf..+inf bracket is indeterminate

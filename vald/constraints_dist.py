@@ -12,11 +12,12 @@ validate() folds into verdicts.
 
 One exchange: every keyed stage here — the fused kinds, the refint
 child keys, monotonic and reconcile — goes through
-``runtime.keyed_exchange``. It coalesces a materialized stream into
-``runtime.fold_tasks`` blocks sized from the stream's row count (not
-from the input's block count or a bucket count), sorts them on an int
-bucket column and folds whole sorted blocks, so a bucket's rows meet in
-one fold call; every fold is invariant to how many buckets it sees. A
+``runtime.keyed_exchange``. It coalesces a stream into
+``runtime.fold_tasks`` blocks of at most ``ROWS_PER_FOLD_TASK`` rows,
+sized from the stream's row count (not from the input's block count, a
+bucket count or the cluster's CPUs), sorts them on an int bucket column
+and folds whole sorted blocks, so a bucket's rows meet in one fold
+call; every fold is invariant to how many buckets it sees. A
 check's ``num_buckets`` is only the bucket hash's modulus, and exemplar
 caps (``max_violation_rows``) stay per bucket (``_first_per_bucket``).
 
@@ -742,24 +743,18 @@ def salted_group_counts(
 _CARRY = [pa.field("__pid", pa.int32()), pa.field("__ref", pa.string())]
 
 
-def _with_carry(
-    ds: "ray.data.Dataset", cs: ConstraintSet, cols: list[str]
-) -> "ray.data.Dataset":
-    """``ds`` pruned to ``cols`` plus the ``_CARRY`` columns (a NULL
-    row_ref reads "<null>"; without a row_ref key it is "")."""
+def _add_carry(cs: ConstraintSet):
+    """A batch with the ``_CARRY`` columns appended (a NULL row_ref
+    reads "<null>"; without a row_ref key it is "")."""
 
     def add(t: pa.Table) -> pa.Table:
         ref = P.build_row_ref(t, cs)
         pids = np.asarray(P.build_partition_ids(t, cs), dtype=np.int32)
-        return (
-            t.select(cols)
-            .append_column("__pid", pa.array(pids))
-            .append_column(
-                "__ref", pa.repeat("", len(t)) if ref is None else pc.fill_null(ref, "<null>")
-            )
+        return t.append_column("__pid", pa.array(pids)).append_column(
+            "__ref", pa.repeat("", len(t)) if ref is None else pc.fill_null(ref, "<null>")
         )
 
-    return ds.map_batches(add, batch_format="pyarrow", zero_copy_batch=True)
+    return add
 
 
 def monotonic_check_results(
@@ -829,12 +824,13 @@ def monotonic_check_results(
         return P.result_table(out)
 
     return monotonic_exchange(
-        _with_carry(ds, cs, list(dict.fromkeys([*key_cols, *order_cols, col]))),
+        ds,
         key_cols,
         order_cols,
         col,
         fold,
         carry=_CARRY,
+        add_carry=_add_carry(cs),
         strict=strict,
         increasing=direction == "increasing",
         num_buckets=int(dist.params.get("num_buckets", 256)),
@@ -914,7 +910,7 @@ def reconcile_check_results(
         return P.result_table(out)
 
     return reconcile_exchange(
-        _with_carry(ds, cs, list(dict.fromkeys([key, col]))),
+        ds,
         other,
         key,
         col,
@@ -922,6 +918,7 @@ def reconcile_check_results(
         dist.params["other_sum"],
         fold,
         carry=_CARRY,
+        add_carry=_add_carry(cs),
         tolerance=float(dist.params.get("tolerance", 0.01)),
         num_buckets=int(dist.params.get("num_buckets", 256)),
     )

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 __all__ = ["stable_hash64", "bucket_ids", "partition_ids", "sha256_hex_column"]
 
@@ -46,14 +47,19 @@ def bucket_ids(arrays, num_buckets: int) -> np.ndarray:
     """int32 hash bucket of each row of the key columns ``arrays``
     (Arrow arrays of one length): the pandas siphash of each column
     folded as ``h = h * 0x9E3779B97F4A7C15 + hash(column)``, then
-    ``% num_buckets``. The one bucket hash of every keyed exchange;
-    NULLs hash like values."""
+    ``% num_buckets``. The one bucket hash of every keyed exchange. A
+    NULL hashes as 0 and only valid values are hashed, so a key's
+    bucket never depends on NULLs in its batch (Arrow turns an int or
+    bool column holding a NULL into float64 or object)."""
     h = np.zeros(len(arrays[0]), dtype=np.uint64)
     for a in arrays:
+        col = np.zeros(len(a), dtype=np.uint64)
+        valid = pc.is_valid(a).to_numpy(zero_copy_only=False) if a.null_count else slice(None)
+        col[valid] = pd.util.hash_array(
+            pc.drop_null(a).to_numpy(zero_copy_only=False), categorize=False
+        )
         with np.errstate(over="ignore"):
-            h = h * _MIX + pd.util.hash_array(
-                a.to_numpy(zero_copy_only=False), categorize=False
-            )
+            h = h * _MIX + col
     return (h % np.uint64(num_buckets)).astype(np.int32)
 
 
@@ -94,8 +100,6 @@ def sha256_hex_column(values) -> list[str]:
         sha256 = hashlib.sha256
         valid = np.ones(len(values), dtype=bool)
         if values.null_count:
-            import pyarrow.compute as pc
-
             valid = np.asarray(
                 pc.is_valid(values).to_numpy(zero_copy_only=False), dtype=bool
             )

@@ -31,7 +31,7 @@ import ray
 import ray.data
 
 from ..hashing import bucket_ids
-from ..runtime import bucketed_group_agg, keyed_exchange
+from ..runtime import bucketed_group_agg, keyed_exchange, map_sized
 
 
 def group_moments(
@@ -696,11 +696,7 @@ def fd_groups_ds(
             )
         )
 
-    return keyed_exchange(
-        ds.map_batches(local_pairs, batch_format="pyarrow", zero_copy_batch=True),
-        "__gb",
-        combine,
-    )
+    return keyed_exchange(ds, "__gb", combine, local_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -758,23 +754,26 @@ def monotonic_exchange(
     fold,
     *,
     carry: "list[pa.Field]" = (),
+    add_carry=None,
     strict: bool = False,
     increasing: bool = True,
     num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """The monotonic route shared by ``monotonic_violations_ds`` and the
     ``kind: monotonic`` check: ``ds`` projected to the key, order and
-    value columns plus the ``carry`` columns, rows holding a NULL
-    dropped, each row stamped ``__gb`` = ``hashing.bucket_ids`` of its
-    key, then ONE ``runtime.keyed_exchange`` (fan-out from the row
-    count). ``fold(g, viol)`` gets each sorted block — whole keys,
-    sorted by (key…, order…) by ``monotonic_flags`` — and its violation
-    mask, and returns the block's output table."""
+    value columns plus the ``carry`` columns (``add_carry(batch)``
+    appends them), rows holding a NULL dropped, each row stamped
+    ``__gb`` = ``hashing.bucket_ids`` of its key, in ONE
+    ``runtime.keyed_exchange`` (fan-out from the row count; the
+    projection is its ``project``). ``fold(g, viol)`` gets each sorted
+    block — whole keys, sorted by (key…, order…) by
+    ``monotonic_flags`` — and its violation mask, and returns the
+    block's output table."""
     cols = list(dict.fromkeys([*key_cols, *order_cols, col]))
     keep = cols + [f.name for f in carry]
 
     def stamp(t: pa.Table) -> pa.Table:
-        t = t.select(keep).drop_null()
+        t = (add_carry(t) if add_carry else t).select(keep).drop_null()
         return t.append_column(
             "__gb", pa.array(bucket_ids([t[kc] for kc in key_cols], num_buckets))
         )
@@ -785,11 +784,7 @@ def monotonic_exchange(
         )
         return fold(g, viol)
 
-    return keyed_exchange(
-        ds.map_batches(stamp, batch_format="pyarrow", zero_copy_batch=True),
-        "__gb",
-        per_block,
-    )
+    return keyed_exchange(ds, "__gb", per_block, stamp)
 
 
 def monotonic_violations_ds(
@@ -860,18 +855,21 @@ def reconcile_exchange(
     fold,
     *,
     carry: "list[pa.Field]" = (),
+    add_carry=None,
     tolerance: float = 0.01,
     num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """The reconcile route shared by ``reconcile_ds`` and the ``kind:
     reconcile`` check. The child side ships per-batch per-key partial
     sums only; the parent side ships (key, value) plus the ``carry``
-    columns, rows holding a NULL dropped. Keys are cast to string and
-    stamped ``__gb`` = ``hashing.bucket_ids`` of the key, and ONE
-    ``runtime.keyed_exchange`` (fan-out from the row count) co-locates a
-    key's partials with its parent rows. Per sorted block: one Arrow
-    hash-aggregate of the child sums, one left hash-join onto the
-    parent rows, and ``ok`` = |parent_val - child_sum| <= tolerance,
+    columns (``add_carry(batch)`` appends them), rows holding a NULL
+    dropped. Each side is mapped with ``runtime.map_sized`` (in
+    bundles sized from its rows when it is materialized). Keys are cast
+    to string and stamped ``__gb`` = ``hashing.bucket_ids`` of the key,
+    and ONE ``runtime.keyed_exchange`` (fan-out from the row count)
+    co-locates a key's partials with its parent rows. Per sorted block:
+    one Arrow hash-aggregate of the child sums, one left hash-join onto
+    the parent rows, and ``ok`` = |parent_val - child_sum| <= tolerance,
     False when the child sum is missing or either side is NaN (DuckDB's
     rule). ``fold(joined)`` gets ``key, parent_val, child_sum, ok``,
     the carry columns and ``__gb``, one row per parent row of the
@@ -900,6 +898,7 @@ def reconcile_exchange(
         return sides(agg, 1)
 
     def parent_partial(t: pa.Table) -> pa.Table:
+        t = add_carry(t) if add_carry else t
         small = pa.table(
             {
                 "key": pc.cast(t[key], pa.string()),
@@ -927,13 +926,7 @@ def reconcile_exchange(
         ok = pc.fill_null(pc.less_equal(diff, pa.scalar(tolerance)), False)
         return fold(joined.append_column("ok", ok))
 
-    both = child.map_batches(
-        child_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        parent.map_batches(
-            parent_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    both = map_sized(child, child_partial).union(map_sized(parent, parent_partial))
     return keyed_exchange(both, "__gb", per_block)
 
 

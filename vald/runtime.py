@@ -12,6 +12,7 @@ __all__ = [
     "bucketed_group_agg",
     "keyed_exchange",
     "coalesce",
+    "map_sized",
     "fold_tasks",
     "ROWS_PER_FOLD_TASK",
     "broadcast_or_semijoin",
@@ -622,19 +623,20 @@ def bucketed_group_agg(
     )
 
 
-# Partial rows per fold task. Measured fold rate ~1.4M rows/s per task
-# (268k unique + fd + cardinality + completeness partial rows of a
-# 100k-row corpus folded in 0.19 s over 2 tasks; Ray at num_cpus=2,
-# 4-vCPU Xeon VM), so a full task folds for ~0.07 s. A sort partition
-# costs ~16 ms of task time (the same stream in 400 partitions: 6.6 s
-# busy), so a smaller stream folds in fewer tasks.
+# Rows per fold task. The fused partials fold at ~1.4M rows/s per task
+# (268k partial rows of a 100k-row corpus in 0.19 s over 2 tasks; Ray at
+# num_cpus=2, 4-vCPU Xeon VM): ~0.07 s per full task. Raw-row folds are
+# no slower: a full monotonic block takes 17-74 ms, a reconcile block
+# 9-27 ms, and a task's peak heap stays 99-124 MiB from 100k to 1M rows
+# (synthetic rows, num_cpus=2, 1-vCPU VM). A sort partition costs ~16 ms
+# of task time, so a smaller stream folds in fewer tasks.
 ROWS_PER_FOLD_TASK = 100_000
 
 
-def fold_tasks(n_rows: int, cpus: int) -> int:
-    """Fold tasks for an exchange over ``n_rows`` partial rows:
-    ``ceil(n_rows / ROWS_PER_FOLD_TASK)`` clamped to [1, cpus]."""
-    return max(1, min(-(-n_rows // ROWS_PER_FOLD_TASK), cpus))
+def fold_tasks(n_rows: int) -> int:
+    """Fold tasks for an exchange over ``n_rows`` rows: ``ceil(n_rows /
+    ROWS_PER_FOLD_TASK)``, at least 1, so a task's rows stay bounded."""
+    return max(1, -(-n_rows // ROWS_PER_FOLD_TASK))
 
 
 def coalesce(raw: "ray.data.Dataset", fn) -> "ray.data.Dataset":
@@ -643,25 +645,37 @@ def coalesce(raw: "ray.data.Dataset", fn) -> "ray.data.Dataset":
     A sort makes one partition per input block, so this sets the fan-out
     of an exchange that follows."""
     n = raw.count()
-    k = fold_tasks(n, int(ray.cluster_resources().get("CPU", 1)))
     return raw.map_batches(
-        fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=max(1, -(-n // k))
+        fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=max(1, -(-n // fold_tasks(n)))
     )
 
 
+def map_sized(ds: "ray.data.Dataset", fn) -> "ray.data.Dataset":
+    """``fn`` mapped over ``ds``: in ``coalesce``'s bundles when ``ds``
+    is materialized (its row count is metadata, so its block count
+    costs no task per block), else block by block."""
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(ds, MaterializedDataset):
+        return coalesce(ds, fn)
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+
+
 def keyed_exchange(parts, bucket_col: str, fold, project=None) -> "ray.data.Dataset":
-    """The keyed exchange: ``parts`` (materialized first unless it
-    already is) is coalesced into ``fold_tasks`` blocks sized from its
-    row count (``project``, if given, mapped over it on the way), sorted
-    on the int bucket column ``bucket_col``, and ``fold`` runs over each
-    whole sorted block. A bucket never spans two blocks (what
-    ``groupby().map_groups`` gives, without its per-bucket split or its
-    one partition per input block), so a fold that is invariant to the
-    bucket count sees every row of each of its keys at once."""
+    """The keyed exchange: ``parts``, mapped by ``project`` if given
+    (its output holds the int bucket column ``bucket_col``), is
+    coalesced into ``fold_tasks`` blocks sized from its row count and
+    sorted on ``bucket_col``; ``fold`` runs over each whole sorted
+    block. A materialized ``parts`` is projected in the coalesced
+    bundles (no task per input block); any other is projected block by
+    block and materialized, to count it. A bucket never spans two
+    blocks (what ``groupby().map_groups`` gives, without its per-bucket
+    split or its one partition per input block), so a fold that is
+    invariant to the bucket count sees every row of its keys at once."""
     from ray.data.dataset import MaterializedDataset
 
     if not isinstance(parts, MaterializedDataset):
-        parts = parts.materialize()
+        parts, project = map_sized(parts, project or (lambda t: t)).materialize(), None
     return (
         coalesce(parts, project or (lambda t: t))
         .sort(bucket_col)
