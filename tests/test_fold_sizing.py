@@ -264,3 +264,22 @@ def test_monotonic_exemplar_cap_is_per_bucket(ray_session, forced_fold_tasks, k)
     want = set(bucket_ids([pa.array(bad, type=pa.int64())], 7).tolist())
     assert len(got) == len(want)
     assert set(bucket_ids([pa.array(got, type=pa.int64())], 7).tolist()) == want
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_exchange_sorts_only_to_partition(ray_session, forced_fold_tasks, k):
+    """One fold task needs no partitioning: the fused exchange runs a
+    Ray ``Sort`` only when it has more than one fold task."""
+    import ray.data
+
+    chosen = forced_fold_tasks(k)
+    t = pa.table({"det": pa.array(np.arange(400) % 37), "dep": pa.array(np.arange(400) % 3)})
+    spec = compile_table_spec(
+        {"table": "t", "columns": {},
+         "checks": [{"kind": "fd", "columns": ["det"], "dependent": "dep"}]}
+    )
+    res = P.validate(ray.data.from_arrow(t).repartition(3), spec)
+    assert sum(res.verdicts_table()["n_violations"].to_pylist()) > 0
+    ops = [ln for ln in res.combined.stats().splitlines() if ln.startswith("Operator")]
+    assert chosen[-1] == k
+    assert any(" Sort" in ln for ln in ops) == (k > 1), ops

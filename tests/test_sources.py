@@ -2,8 +2,10 @@
 and raw per-line JSON documents through the dynamic jsonSchema path."""
 
 import json
+import os
 
 import pyarrow as pa
+import pytest
 
 import ray.data
 
@@ -219,3 +221,36 @@ def test_spec_row_filter_scopes_validation(tmp_path):
     # only row 2 (name "x") is in scope; rows 3/4 are filtered out at
     # the scan, so their score/minLength violations never materialize
     assert set(viols["row_ref"]) == {"2"}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_filter_and_columns_over_planned_blocks(ray_session, tmp_path, monkeypatch, fmt):
+    """jsonl / csv over several files, read in fewer blocks than files
+    (``read_source`` plans one block per ``target_min_block_size`` of
+    file bytes): ``filter=`` and ``columns=`` keep exactly the rows and
+    columns they name."""
+    from ray.data import DataContext
+
+    rows = [{"id": i, "name": f"n{i}", "score": (i * 37) % 100} for i in range(60)]
+    files = []
+    for f in range(6):
+        part = rows[f * 10 : (f + 1) * 10]
+        p = tmp_path / f"part-{f}.{fmt}"
+        if fmt == "jsonl":
+            p.write_text("\n".join(json.dumps(r) for r in part) + "\n")
+        else:
+            p.write_text(
+                "id,name,score\n"
+                + "\n".join(f"{r['id']},{r['name']},{r['score']}" for r in part)
+            )
+        files.append(str(p))
+    total = sum(os.path.getsize(f) for f in files)
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", total // 3)
+    ds = read_source(
+        files, format=fmt, columns=["id", "score"],
+        filter={"col": "score", "op": ">=", "value": 50},
+    )
+    got = sorted((r["id"], r["score"]) for r in ds.take_all())
+    assert got == [(r["id"], r["score"]) for r in rows if r["score"] >= 50]
+    assert ds.schema().names == ["id", "score"]
+    assert "SplitBlocks" not in ds.stats()

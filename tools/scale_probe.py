@@ -1,7 +1,7 @@
-"""Scale probe: validate() on a generated corpus read with Ray's default
-blocks, with the exchange's share of the wall time; or (``--keyed``) the
-keyed exchanges of monotonic and reconcile at a small and a large input
-block count.
+"""Scale probe: validate() on a generated corpus read with
+``sources.read_source``, with the exchange's share of the wall time; or
+(``--keyed``) the keyed exchanges of monotonic and reconcile at a small
+and a large input block count.
 
     python tools/scale_probe.py --dir DIR --rows 100000 [--extra] [--runs 1]
                                 [--num-cpus 2] [--dump PREFIX]

@@ -15,8 +15,9 @@ child keys, monotonic and reconcile — goes through
 ``runtime.keyed_exchange``. It coalesces a stream into
 ``runtime.fold_tasks`` blocks of at most ``ROWS_PER_FOLD_TASK`` rows,
 sized from the stream's row count (not from the input's block count, a
-bucket count or the cluster's CPUs), sorts them on an int bucket column
-and folds whole sorted blocks, so a bucket's rows meet in one fold
+bucket count or the cluster's CPUs), partitions them on an int bucket
+column with a Ray sort only when there is more than one, and folds
+whole blocks sorted on that column, so a bucket's rows meet in one fold
 call; every fold is invariant to how many buckets it sees. A
 check's ``num_buckets`` is only the bucket hash's modulus, and exemplar
 caps (``max_violation_rows``) stay per bucket (``_first_per_bucket``).
@@ -477,7 +478,7 @@ def fused_refint_anti_results(
     exceeds ``max_broadcast_keys``.
 
     Plan: rkey partials → totals (verdict n_checked, no shuffle) and, in
-    parallel, a sort on ``ubucket`` sized like ``fused_exchange`` →
+    parallel, a keyed exchange on ``ubucket`` sized like ``fused_exchange`` →
     per-block distinct child keys →
     hash-partitioned ``left_anti`` join against the parent's canonical
     key strings → violation rows. The join moves distinct KEYS on both
@@ -529,7 +530,7 @@ def fused_refint_anti_results(
         parent_pre, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    # join_barrier: child_keys is a sort output — see runtime.join_barrier
+    # join_barrier: child_keys may be a sort output — see runtime.join_barrier
     missing = join_barrier(child_keys).join(
         parent_keys,
         join_type="left_anti",

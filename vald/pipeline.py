@@ -4,7 +4,8 @@ verdict fold (SURVEY.md §3.2-§3.4).
 Execution shape (Ray-Data-first, BASELINE.json north_rule):
 
 - ONE ``map_batches`` task pass (``RowValidator``) evaluates every
-  row-kind check of the ConstraintSet per zero-copy Arrow batch and
+  row-kind check of the ConstraintSet per zero-copy Arrow batch (inside
+  the read tasks, for a ``sources.read_source`` input) and
   emits a small *result stream*: per-batch verdict partials + violation
   rows (RESULT_SCHEMA). The same pass emits the batch partials of the
   dataset-level checks that share it (EXT_SCHEMA): the fused kinds
@@ -13,7 +14,7 @@ Execution shape (Ray-Data-first, BASELINE.json north_rule):
   the stream is ~|violations| + O(batches × constraints) + the
   per-batch distinct keys — far smaller than the input — so it is
   materialized and feeds every later stage.
-- ONE sort exchange on ``ubucket`` folds all fused kinds together
+- ONE keyed exchange on ``ubucket`` folds all fused kinds together
   (constraints_dist.fused_exchange), one fold call per check per
   sorted block. The large-parent refint anti-join runs its own
   exchange over the same materialized stream.
@@ -24,7 +25,9 @@ Execution shape (Ray-Data-first, BASELINE.json north_rule):
 - Every keyed exchange above is ``runtime.keyed_exchange``: one
   bucket hash (``hashing.bucket_ids``, or the fused kinds' key-string
   hash), a fan-out from the exchanged stream's row count, not from the
-  input's block count, and folds over whole sorted blocks.
+  input's block count, and folds over whole sorted blocks. An exchange
+  with one fold task runs no Ray sort: it projects, sorts and folds in
+  one task.
 - Result rows are built only by this module's builder (``result_cols``,
   ``count_rows``, ``violation_rows``, ``result_table``): every check,
   here and in constraints_dist and drift, hands it column parts.
@@ -698,9 +701,10 @@ class ValidationResult:
         return bool(pc.all(v["pass"]).as_py())
 
 
-# None = one batch per block: parquet-sized blocks are already right,
-# and per-block tasks pipeline better than bundled 16k batches
-# (measured: 2.8s vs 5.1s for read+validate of 1M rows at 8 cpus).
+# None = one batch per block. Over a sources.read_source input the row
+# pass runs inside the read tasks, and a block is one file, or a group
+# of files of about DataContext.target_min_block_size bytes in all, so
+# the row pass sees each block whole in the task that read it.
 DEFAULT_BATCH_SIZE = None
 
 # Per-worker-process validator cache for the stateless-task path: the
@@ -814,11 +818,20 @@ def validate(
     The input is read once, by the row pass. Row checks, refint
     membership and the batch partials of unique, fd, cardinality and
     completeness come out of that pass; the four fused kinds are then
-    decided in one shared sort exchange (constraints_dist.fused_exchange)
-    whose fan-out comes from the pass's output row count.
+    decided in one shared keyed exchange (constraints_dist.fused_exchange)
+    whose fan-out comes from the pass's output row count; with one fold
+    task it runs no Ray sort.
     drift, group_drift, freshness, monotonic, reconcile and
-    quantile_bounds still read ``ds`` themselves. The row pass runs as
-    elastic tasks.
+    quantile_bounds still read ``ds`` themselves.
+
+    The row pass is one stateless task per block of ``ds``. Over a
+    ``sources.read_source`` input Ray fuses it into the read, so each
+    read task decodes its files and runs the row pass on them, and only
+    the small result stream enters the object store. A Dataset whose
+    read Ray splits into more blocks than files (``ray.data.read_parquet``'s
+    own plan, when the input has fewer files than that plan wants
+    blocks) does not fuse: its blocks pass through the object store and
+    the row pass runs one task per block.
 
     ``parents`` maps refint parent_table name → its key source (Dataset /
     Arrow table / list of keys; a list is planned as an Arrow table).

@@ -639,14 +639,18 @@ def fold_tasks(n_rows: int) -> int:
     return max(1, -(-n_rows // ROWS_PER_FOLD_TASK))
 
 
-def coalesce(raw: "ray.data.Dataset", fn) -> "ray.data.Dataset":
-    """``fn`` mapped over the materialized stream ``raw`` in
-    ``fold_tasks`` bundles of its blocks (its row count is metadata).
-    A sort makes one partition per input block, so this sets the fan-out
-    of an exchange that follows."""
+def coalesce(raw: "ray.data.Dataset", fn, tasks: "int | None" = None) -> "ray.data.Dataset":
+    """``fn`` mapped over the materialized stream ``raw`` in ``tasks``
+    bundles of its blocks (default ``fold_tasks`` of its row count,
+    which is metadata): one task, and one batch, per bundle. A sort
+    makes one partition per input block, so this sets the fan-out of an
+    exchange that follows."""
     n = raw.count()
     return raw.map_batches(
-        fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=max(1, -(-n // fold_tasks(n)))
+        fn,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=max(1, -(-n // (tasks or fold_tasks(n)))),
     )
 
 
@@ -664,20 +668,33 @@ def map_sized(ds: "ray.data.Dataset", fn) -> "ray.data.Dataset":
 def keyed_exchange(parts, bucket_col: str, fold, project=None) -> "ray.data.Dataset":
     """The keyed exchange: ``parts``, mapped by ``project`` if given
     (its output holds the int bucket column ``bucket_col``), is
-    coalesced into ``fold_tasks`` blocks sized from its row count and
-    sorted on ``bucket_col``; ``fold`` runs over each whole sorted
-    block. A materialized ``parts`` is projected in the coalesced
-    bundles (no task per input block); any other is projected block by
-    block and materialized, to count it. A bucket never spans two
-    blocks (what ``groupby().map_groups`` gives, without its per-bucket
-    split or its one partition per input block), so a fold that is
-    invariant to the bucket count sees every row of its keys at once."""
+    coalesced into ``k = fold_tasks`` blocks sized from its row count;
+    ``fold`` runs over each whole block, stably sorted on
+    ``bucket_col``. With ``k > 1`` a Ray sort on ``bucket_col``
+    partitions and sorts the blocks; with ``k == 1`` there is nothing
+    to partition, and projection, an Arrow sort and the fold run in
+    the one coalesce task. Both give a fold the same rows in the same
+    order (a Ray sort of one block is that same stable sort). A
+    materialized ``parts`` is projected in the coalesced bundles (no
+    task per input block); any other is projected block by block and
+    materialized, to count it. A bucket never spans two blocks (what
+    ``groupby().map_groups`` gives, without its per-bucket split or its
+    one partition per input block), so a fold that is invariant to the
+    bucket count sees every row of its keys at once."""
     from ray.data.dataset import MaterializedDataset
 
+    project = project or (lambda t: t)
     if not isinstance(parts, MaterializedDataset):
-        parts, project = map_sized(parts, project or (lambda t: t)).materialize(), None
-    return (
-        coalesce(parts, project or (lambda t: t))
-        .sort(bucket_col)
-        .map_batches(fold, batch_format="pyarrow", batch_size=None)
-    )
+        parts, project = map_sized(parts, project).materialize(), (lambda t: t)
+    k = fold_tasks(parts.count())
+    if k > 1:
+        return (
+            coalesce(parts, project, k)
+            .sort(bucket_col)
+            .map_batches(fold, batch_format="pyarrow", batch_size=None)
+        )
+
+    def project_sort_fold(t):
+        return fold(project(t).sort_by(bucket_col))
+
+    return coalesce(parts, project_sort_fold, 1)

@@ -11,8 +11,11 @@ that leaves the read stage carries only what the pipeline needs.
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import pyarrow.dataset as pads
+import pyarrow.fs as pafs
 
 import ray.data
 
@@ -67,6 +70,38 @@ def build_filter(spec) -> "pads.Expression":
     return _OPS[op](pads.field(spec["col"]), spec.get("value"))
 
 
+def _read_blocks(paths: str | list[str]) -> dict:
+    """``override_num_blocks`` for a read of ``paths``, from one listing
+    of its files (a file as given, a directory walked recursively,
+    skipping the ``.``/``_`` names the readers skip): one block per
+    ``target_min_block_size`` of file bytes, at most one per file. Ray
+    splits a read's output (``SplitBlocks``) to reach more blocks than
+    read tasks, or to keep a block under ``target_max_block_size``; a
+    read that asks for no more blocks than files avoids the first, so
+    the map that follows fuses into the read tasks. Many tiny files
+    still share a task. A missing path counts as a file of 0 bytes; the
+    reader reports it."""
+    sizes = []
+    for p in [paths] if isinstance(paths, str) else paths:
+        try:
+            fs, path = pafs.FileSystem.from_uri(p)
+        except pa.ArrowInvalid:  # a plain local path, not a URI
+            fs, path = pafs.LocalFileSystem(), os.path.abspath(p)
+        info = fs.get_file_info(path)
+        if info.type != pafs.FileType.Directory:
+            sizes.append(info.size or 0)
+            continue
+        sizes += [
+            f.size
+            for f in fs.get_file_info(pafs.FileSelector(path, recursive=True))
+            if f.is_file and not f.base_name.startswith((".", "_"))
+        ]
+    if not sizes:
+        return {}
+    per_block = ray.data.DataContext.get_current().target_min_block_size
+    return {"override_num_blocks": min(len(sizes), max(1, -(-sum(sizes) // per_block)))}
+
+
 def read_source(
     paths: str | list[str],
     *,
@@ -84,17 +119,31 @@ def read_source(
       immediately-fused filter + ``select_columns`` so only matching
       rows / requested columns enter the object store. Same semantics,
       applied post-decode (these formats carry no row statistics).
+
+    The read is planned from its files (``_read_blocks``): at most one
+    block per file and per ``DataContext.target_min_block_size`` bytes
+    of files. Ray then fuses the maps that follow (the post-decode
+    filter here, ``validate()``'s row pass) into the read tasks, so
+    the decoded input never passes through the object store between
+    read and row pass. The trade: a few large files on many CPUs run
+    one row-pass task per file. Ray's own plan asks for at least
+    ``2 × CPUs`` blocks (up to 200, one per ``target_min_block_size``
+    of decoded bytes) and splits each file's read output to get them,
+    so its row pass spreads over every CPU, at the cost of a pass of
+    the decoded input through the object store. A Dataset built with
+    ``ray.data.read_parquet`` keeps Ray's plan.
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown source format {format!r}; one of {_FORMATS}")
     expr = None if filter is None else build_filter(filter)
+    blocks = _read_blocks(paths)
     if format == "parquet":
         kwargs = {} if expr is None else {"filter": expr}
-        return ray.data.read_parquet(paths, columns=columns, **kwargs)
+        return ray.data.read_parquet(paths, columns=columns, **kwargs, **blocks)
     if format == "jsonl":
-        ds = ray.data.read_json(paths)
+        ds = ray.data.read_json(paths, **blocks)
     else:
-        ds = ray.data.read_csv(paths)
+        ds = ray.data.read_csv(paths, **blocks)
     if expr is not None:
         ds = ds.map_batches(
             lambda t, e=expr: t.filter(e),
