@@ -224,3 +224,42 @@ def test_repeated_default_ids_get_suffixes(ray_session):
         assert int(pc.sum(rows["n_violations"]).as_py()) == int(
             _expected(t, increasing=increasing)["n_violations"].sum()
         )
+
+
+def test_monotonic_alone_emits_one_result_schema(ray_session):
+    """A spec whose row pass emits no result rows (a monotonic check
+    alone): every block of the result stream carries RESULT_SCHEMA, and
+    Ray logs no 'different schema' warning when the check's block and
+    the row pass's empty blocks meet in the union."""
+    import logging
+
+    import ray
+    import ray.data
+
+    class Records(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    seen = Records()
+    log.addHandler(seen)
+    try:
+        spec = compile_table_spec(
+            {
+                "table": "t",
+                "columns": {},
+                "checks": [
+                    {"kind": "monotonic", "key": "k", "order": "o", "column": "v"}
+                ],
+            }
+        )
+        res = P.validate(ray.data.from_arrow(_log()).repartition(4), spec)
+        schemas = [ray.get(b).schema for b in res.combined.get_internal_block_refs()]
+    finally:
+        log.removeHandler(seen)
+    assert schemas and all(s == P.RESULT_SCHEMA for s in schemas), schemas
+    assert not [m for m in seen.messages if "different schema" in m], seen.messages

@@ -1,6 +1,8 @@
-"""The plan ``read_source`` gives ``validate()``: one fused read + row
-pass task per file (no ``SplitBlocks``), tiny files grouped by bytes,
-and the same verdicts and violations whichever way the input arrives."""
+"""The plan ``read_source`` gives ``validate()``: with at least as many
+files as CPUs, one fused read + row pass task per file (no
+``SplitBlocks``) and tiny files grouped by bytes; with fewer, Ray's own
+split plan; and the same verdicts and violations whichever way the
+input arrives."""
 
 from __future__ import annotations
 
@@ -51,6 +53,10 @@ def _operators(res) -> dict[str, int]:
     return {m["name"]: int(m["tasks"]) for m in _OP.finditer(res.combined.stats())}
 
 
+def _cpus() -> int:
+    return int(ray.cluster_resources()["CPU"])
+
+
 def _validate(ds, n_rows=N):
     return P.validate(ds, SPEC, parents={"repos": C.repos_table(n_rows, SEED)})
 
@@ -67,11 +73,42 @@ def min_block_bytes(monkeypatch):
 
 
 def test_read_fuses_with_the_row_pass(ray_session, tmp_path, min_block_bytes):
-    files = _write(tmp_path, 3, N)
+    n_files = _cpus()
+    files = _write(tmp_path, n_files, N)
     min_block_bytes(min(os.path.getsize(f) for f in files) // 2)
     ops = _operators(_validate(read_source(files)))
-    assert ops.get("ReadParquet->MapBatches(_TaskValidator)") == 3, ops
+    assert ops.get("ReadParquet->MapBatches(_TaskValidator)") == n_files, ops
     assert not any("SplitBlocks" in name for name in ops), ops
+
+
+def test_fewer_files_than_cpus_keep_rays_plan(ray_session, tmp_path, min_block_bytes):
+    """With fewer files than CPUs a plan of one task per file would
+    leave CPUs idle: the read keeps Ray's split plan, and the row pass
+    runs more tasks than there are files."""
+    n_files = _cpus() - 1
+    files = _write(tmp_path, n_files, N)
+    min_block_bytes(min(os.path.getsize(f) for f in files) // 2)
+    ops = _operators(_validate(read_source(files)))
+    assert any("SplitBlocks" in name for name in ops), ops
+    row_pass = [n for name, n in ops.items() if "_TaskValidator" in name]
+    assert row_pass and row_pass[0] > n_files, ops
+
+
+def test_files_the_reader_skips_are_not_counted(ray_session, tmp_path, min_block_bytes):
+    """A directory of jsonl files that also holds a README and a
+    ``_SUCCESS`` marker: the plan counts only the files the json reader
+    reads, so it asks for no more blocks than read tasks."""
+    n_files = _cpus()
+    for i in range(n_files):
+        (tmp_path / f"part-{i}.jsonl").write_text(
+            "".join(f'{{"id": {i * 10 + j}}}\n' for j in range(10))
+        )
+    for name in ("README.txt", "_SUCCESS"):
+        (tmp_path / name).write_text("not data\n" * 50)
+    min_block_bytes(1)
+    ds = read_source(str(tmp_path), format="jsonl").materialize()
+    assert sorted(r["id"] for r in ds.take_all()) == list(range(n_files * 10))
+    assert "SplitBlocks" not in ds.stats()
 
 
 def test_tiny_files_share_read_tasks(ray_session, tmp_path, min_block_bytes):

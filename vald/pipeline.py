@@ -701,10 +701,11 @@ class ValidationResult:
         return bool(pc.all(v["pass"]).as_py())
 
 
-# None = one batch per block. Over a sources.read_source input the row
-# pass runs inside the read tasks, and a block is one file, or a group
-# of files of about DataContext.target_min_block_size bytes in all, so
-# the row pass sees each block whole in the task that read it.
+# None = one batch per block. Over a sources.read_source input with at
+# least as many files as CPUs the row pass runs inside the read tasks,
+# and a block is one file, or a group of files of about
+# DataContext.target_min_block_size bytes in all, so the row pass sees
+# each block whole in the task that read it.
 DEFAULT_BATCH_SIZE = None
 
 # Per-worker-process validator cache for the stateless-task path: the
@@ -716,7 +717,10 @@ _VALIDATOR_CACHE: dict[str, "RowValidator"] = {}
 
 
 class _TaskValidator:
-    """Picklable map_batches callable wrapping the cached RowValidator."""
+    """Picklable map_batches callable wrapping the cached RowValidator.
+    With ``project`` it returns only the RESULT_SCHEMA rows
+    (``_project_res``) in the same call: a map that follows is not
+    called on a 0-row block, and its output would have no schema."""
 
     def __init__(
         self,
@@ -724,11 +728,13 @@ class _TaskValidator:
         cset: ConstraintSet,
         broadcast_refs: dict,
         refint_fused: dict[str, list[str]] | None = None,
+        project: bool = False,
     ):
         self.token = token
         self.cset = cset
         self.broadcast_refs = broadcast_refs
         self.refint_fused = refint_fused or {}
+        self.project = project
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         v = _VALIDATOR_CACHE.get(self.token)
@@ -740,7 +746,7 @@ class _TaskValidator:
             )
             _VALIDATOR_CACHE.clear()  # one live spec per worker is enough
             _VALIDATOR_CACHE[self.token] = v
-        return v(batch)
+        return _project_res(v(batch)) if self.project else v(batch)
 
 
 # Parents with more than this many rows are NOT broadcast: validate()
@@ -825,13 +831,15 @@ def validate(
     quantile_bounds still read ``ds`` themselves.
 
     The row pass is one stateless task per block of ``ds``. Over a
-    ``sources.read_source`` input Ray fuses it into the read, so each
-    read task decodes its files and runs the row pass on them, and only
-    the small result stream enters the object store. A Dataset whose
-    read Ray splits into more blocks than files (``ray.data.read_parquet``'s
-    own plan, when the input has fewer files than that plan wants
-    blocks) does not fuse: its blocks pass through the object store and
-    the row pass runs one task per block.
+    ``sources.read_source`` input with at least as many files as the
+    cluster has CPUs, Ray fuses it into the read, so each read task
+    decodes its files and runs the row pass on them, and only the small
+    result stream enters the object store. A Dataset whose read Ray
+    splits into more blocks than files (Ray's own plan: any
+    ``ray.data.read_parquet`` Dataset with fewer files than that plan
+    wants blocks, and ``read_source`` with fewer files than CPUs) does
+    not fuse: its blocks pass through the object store and the row
+    pass runs one task per block, spread over every CPU.
 
     ``parents`` maps refint parent_table name → its key source (Dataset /
     Arrow table / list of keys; a list is planned as an Arrow table).
@@ -912,32 +920,34 @@ def validate(
             keys = set(zip(*(keys_t[c].to_pylist() for c in pcols)))
         broadcast_refs[cid] = ray.put(keys)
 
+    # --- distributed checks union into the same result stream ---
+    # The fused kinds and fused refint consume the partials the row pass
+    # emitted inline (EXT_SCHEMA), so the input is read exactly once;
+    # the raw stream is materialized first (it feeds both the result
+    # projection and the exchanges). Without them the row pass projects
+    # its own output, so even its empty blocks carry RESULT_SCHEMA.
+    from . import constraints_dist as cd
+
+    fused = [d for d in cs.dist_checks if d.kind in cd.FUSED_KINDS]
+    partials = bool(fused or refint_fused)
+
     # stateless-task row pass: elastic scheduling, state amortized via
     # the per-process _VALIDATOR_CACHE.
     import uuid
 
     raw = ds.map_batches(
-        _TaskValidator(uuid.uuid4().hex, cs, broadcast_refs, refint_fused),
+        _TaskValidator(
+            uuid.uuid4().hex, cs, broadcast_refs, refint_fused, project=not partials
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
     )
-
-    # --- distributed checks union into the same result stream ---
-    # The fused kinds and fused refint consume the partials the row pass
-    # emitted inline (EXT_SCHEMA), so the input is read exactly once;
-    # the raw stream is materialized first (it feeds both the result
-    # projection and the exchanges).
-    from . import constraints_dist as cd
-
-    fused = [d for d in cs.dist_checks if d.kind in cd.FUSED_KINDS]
-    if fused or refint_fused:
+    if partials:
         raw = raw.materialize()
         combined = coalesce(raw, _project_res)
     else:
-        combined = raw.map_batches(
-            _project_res, batch_format="pyarrow", zero_copy_batch=True
-        )
+        combined = raw
     if fused:
         combined = combined.union(cd.fused_exchange(raw, fused))
     for dist in cs.dist_checks:

@@ -11,12 +11,14 @@ that leaves the read stage carries only what the pipeline needs.
 
 from __future__ import annotations
 
+import inspect
 import os
 
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.fs as pafs
 
+import ray
 import ray.data
 
 __all__ = ["read_source", "jsonl_documents", "build_filter"]
@@ -70,17 +72,26 @@ def build_filter(spec) -> "pads.Expression":
     return _OPS[op](pads.field(spec["col"]), spec.get("value"))
 
 
-def _read_blocks(paths: str | list[str]) -> dict:
-    """``override_num_blocks`` for a read of ``paths``, from one listing
-    of its files (a file as given, a directory walked recursively,
-    skipping the ``.``/``_`` names the readers skip): one block per
-    ``target_min_block_size`` of file bytes, at most one per file. Ray
-    splits a read's output (``SplitBlocks``) to reach more blocks than
-    read tasks, or to keep a block under ``target_max_block_size``; a
-    read that asks for no more blocks than files avoids the first, so
-    the map that follows fuses into the read tasks. Many tiny files
-    still share a task. A missing path counts as a file of 0 bytes; the
-    reader reports it."""
+def _read_blocks(paths: str | list[str], reader) -> dict:
+    """``override_num_blocks`` for ``reader`` over ``paths``, from one
+    listing of its files: a file as given, a directory walked
+    recursively, skipping names without one of the reader's default
+    ``file_extensions`` and names under the directory that start with
+    ``.`` or ``_`` (Ray skips those only for some spellings of the
+    path; a file left out asks for fewer blocks, never a split). The
+    plan asks for one block per ``target_min_block_size`` of file
+    bytes, at most one per file, and only when there are at least as
+    many files as cluster CPUs; otherwise ``{}``, Ray's own plan.
+
+    Ray splits a read's output (``SplitBlocks``) to reach more blocks
+    than read tasks; a read that asks for no more blocks than files is
+    not split, so the map that follows fuses into the read tasks. Many
+    tiny files still share a task. With fewer files than CPUs that
+    would leave CPUs idle, and Ray's plan (at least ``2 x CPUs``
+    blocks, split after the read) spreads the map over them instead. A
+    missing path counts as a file of 0 bytes; the reader reports it."""
+    exts = inspect.signature(reader).parameters["file_extensions"].default
+    exts = None if exts is None else tuple("." + e.lower() for e in exts)
     sizes = []
     for p in [paths] if isinstance(paths, str) else paths:
         try:
@@ -89,14 +100,17 @@ def _read_blocks(paths: str | list[str]) -> dict:
             fs, path = pafs.LocalFileSystem(), os.path.abspath(p)
         info = fs.get_file_info(path)
         if info.type != pafs.FileType.Directory:
-            sizes.append(info.size or 0)
-            continue
-        sizes += [
-            f.size
-            for f in fs.get_file_info(pafs.FileSelector(path, recursive=True))
-            if f.is_file and not f.base_name.startswith((".", "_"))
-        ]
-    if not sizes:
+            found = [(info.path, info.size or 0)]
+        else:
+            found = [
+                (f.path, f.size)
+                for f in fs.get_file_info(pafs.FileSelector(path, recursive=True))
+                if f.is_file
+                and not f.path[len(path) :].lstrip("/").startswith((".", "_"))
+            ]
+        sizes += [n for f, n in found if exts is None or f.lower().endswith(exts)]
+    cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
+    if not sizes or len(sizes) < cpus:
         return {}
     per_block = ray.data.DataContext.get_current().target_min_block_size
     return {"override_num_blocks": min(len(sizes), max(1, -(-sum(sizes) // per_block)))}
@@ -120,30 +134,34 @@ def read_source(
       rows / requested columns enter the object store. Same semantics,
       applied post-decode (these formats carry no row statistics).
 
-    The read is planned from its files (``_read_blocks``): at most one
+    When the input has at least as many files as the cluster has CPUs,
+    the read is planned from its files (``_read_blocks``): at most one
     block per file and per ``DataContext.target_min_block_size`` bytes
     of files. Ray then fuses the maps that follow (the post-decode
     filter here, ``validate()``'s row pass) into the read tasks, so
     the decoded input never passes through the object store between
-    read and row pass. The trade: a few large files on many CPUs run
-    one row-pass task per file. Ray's own plan asks for at least
-    ``2 × CPUs`` blocks (up to 200, one per ``target_min_block_size``
-    of decoded bytes) and splits each file's read output to get them,
-    so its row pass spreads over every CPU, at the cost of a pass of
-    the decoded input through the object store. A Dataset built with
-    ``ray.data.read_parquet`` keeps Ray's plan.
+    read and row pass, and every CPU still has a file to read. With
+    fewer files than CPUs (one checkpoint shard, a few large files)
+    the read keeps Ray's own plan: at least ``2 × CPUs`` blocks (up to
+    200, one per ``target_min_block_size`` of decoded bytes), got by
+    splitting each file's read output, so the row pass spreads over
+    every CPU at the cost of a pass of the decoded input through the
+    object store. A Dataset built with ``ray.data.read_parquet`` always
+    keeps Ray's plan.
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown source format {format!r}; one of {_FORMATS}")
     expr = None if filter is None else build_filter(filter)
-    blocks = _read_blocks(paths)
+    reader = {
+        "parquet": ray.data.read_parquet,
+        "jsonl": ray.data.read_json,
+        "csv": ray.data.read_csv,
+    }[format]
+    blocks = _read_blocks(paths, reader)
     if format == "parquet":
         kwargs = {} if expr is None else {"filter": expr}
-        return ray.data.read_parquet(paths, columns=columns, **kwargs, **blocks)
-    if format == "jsonl":
-        ds = ray.data.read_json(paths, **blocks)
-    else:
-        ds = ray.data.read_csv(paths, **blocks)
+        return reader(paths, columns=columns, **kwargs, **blocks)
+    ds = reader(paths, **blocks)
     if expr is not None:
         ds = ds.map_batches(
             lambda t, e=expr: t.filter(e),
