@@ -109,6 +109,27 @@ def test_cli_end_to_end(tmp_path):
     assert res3["completed"] == 0 and res3["skipped"] == res["completed"] + res["skipped"]
 
 
+def test_cli_spec_error_before_ray_starts(tmp_path):
+    """A spec with an unknown check key exits 2 with the SpecError,
+    before the CLI starts Ray or lists its input."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"table": "t", "checks": [{"kind": "unique", "columns": ["a"], "colums": ["b"]}]}
+    ))
+    code = (
+        "import ray\n"
+        "from vald import cli\n"
+        "cli._ray_init = lambda n: print('ray started')\n"
+        f"rc = cli.main(['run', '--input', 'missing/*.parquet', '--spec', {str(spec_path)!r}])\n"
+        "print(rc, ray.is_initialized())\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert r.stdout.split() == ["2", "False"], (r.stdout, r.stderr)
+    assert "spec error: checks[0] (kind 'unique'): unknown key(s) ['colums']" in r.stderr
+
+
 def test_cli_dedup_minhash(tmp_path):
     """CLI dedup end-to-end in a fresh process: pairs + groups + deduped
     corpus written; duplicate cluster collapses to its representative."""

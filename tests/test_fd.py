@@ -483,11 +483,23 @@ class TestQuantileBounds:
           "other_key": "det"}, "other_sum"),
         ({"kind": "drift", "columns": ["v"]}, "baseline"),
         ({"kind": "quantile_bounds", "upper_q": 0.9}, "column"),
+        ({"kind": "compare", "column": "a"}, "left"),
+        ({"kind": "compare", "left": {"column": "a"}, "right": {"value": 1}}, "op"),
+        ({"kind": "implies", "left": {"column": "a"}, "op": "==",
+          "right": {"value": 1}}, "cond_left"),
+        ({"kind": "pair_in_set", "left": {"column": "a"}, "right": {"column": "b"}},
+         "pairs"),
+        ({"kind": "cardinality", "column": "v"}, "min_distinct"),
+        ({"kind": "monotonic", "key": "det", "order": "ts", "column": "v",
+          "tolerence": 3, "strcit": True}, "tolerence', 'strcit"),
+        ({"kind": "refint", "columns": ["det"], "parent_tabel": "p"}, "parent_tabel"),
     ],
     ids=["fd-columns", "fd-dependent", "completeness-column",
          "completeness-max_null_rate", "cardinality-column", "monotonic-order",
          "freshness-as_of", "reconcile-other_sum", "drift-baseline",
-         "quantile_bounds-column"],
+         "quantile_bounds-column", "compare-left", "compare-op", "implies-cond_left",
+         "pair_in_set-pairs", "cardinality-bounds", "monotonic-unknown",
+         "refint-unknown"],
 )
 def test_missing_required_param_is_spec_error(check, missing):
     from vald.ir import SpecError

@@ -193,7 +193,7 @@ def test_keyed_routes_on_empty_input(ray_session):
     ms, rs = _monotonic_spec(), _reconcile_spec()
     outs = [
         cd.monotonic_check_results(ev, ms, ms.dist_checks[0]),
-        cd.reconcile_check_results(acc, ent, rs, rs.dist_checks[0]),
+        cd.reconcile_check_results(acc, rs, rs.dist_checks[0], {"entries": ent}),
         monotonic_violations_ds(ev, "k", "o", "v"),
         reconcile_ds(acc, ent, "acct", "balance", "acct", "amount"),
         fd_groups_ds(ev, "k", "v"),

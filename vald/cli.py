@@ -39,12 +39,19 @@ def cmd_run(args) -> int:
     import ray.data
 
     from .checkpoint import run_resumable
+    from .ir import SpecError, compile_table_spec
     from .pipeline import validate
     from .sources import read_source
 
-    _ray_init(args.num_cpus)
     with open(args.spec) as f:
         spec = json.load(f)
+    # a bad spec fails before Ray starts
+    try:
+        cs = compile_table_spec(spec)
+    except SpecError as e:
+        print(f"spec error: {e}", file=sys.stderr)
+        return 2
+    _ray_init(args.num_cpus)
     parents = {}
     for p in args.parent or []:
         name, path = p.split("=", 1)
@@ -69,7 +76,7 @@ def cmd_run(args) -> int:
         }
         summary = run_resumable(
             partitions,
-            spec,
+            cs,
             args.out,
             parents=parents,
             resume=not args.no_resume,
@@ -88,7 +95,7 @@ def cmd_run(args) -> int:
         )
     else:
         ds = read_source(files, format=fmt, filter=row_filter)
-        res = validate(ds, spec, parents=parents)
+        res = validate(ds, cs, parents=parents)
         verd = res.verdicts_table()
         if args.out:
             import pyarrow.parquet as pq

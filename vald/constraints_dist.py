@@ -1,9 +1,10 @@
 """Distributed constraints: the fused dataset-level kinds (uniqueness
 B4, functional dependency, distinct cardinality, completeness),
 referential integrity against large parents (B5 anti-join over the row
-pass's child-key partials), drift (B9), the kinds that still read the
-input themselves (freshness, monotonic, reconcile, quantile bounds) and
-salting helpers (B8).
+pass's child-key partials), the kinds that still read the input
+themselves (``OWN_PASS_KINDS``, one ``{kind: fn(ds, cs, dist,
+parents)}`` table: freshness, monotonic, reconcile, quantile bounds,
+and vald.drift's drift B9 and group_drift) and salting helpers (B8).
 
 All stages emit pipeline.RESULT_SCHEMA rows, built with pipeline's
 result-row builder (``count_rows``, ``violation_rows``,
@@ -59,6 +60,7 @@ from ray.data.aggregate import Sum
 
 from .hashing import KEY_SEP, stable_hash64
 from .ir import ConstraintSet, DistCheck
+from . import drift
 from . import pipeline as P
 from .runtime import (
     coalesce,
@@ -70,10 +72,9 @@ from .runtime import (
 
 __all__ = [
     "FUSED_KINDS",
+    "OWN_PASS_KINDS",
     "fused_exchange",
     "fused_refint_anti_results",
-    "drift_check_results",
-    "group_drift_check_results",
     "fd_check_results",
     "monotonic_check_results",
     "reconcile_check_results",
@@ -107,12 +108,12 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
 
 def _max_rows(dist: DistCheck) -> int:
     return int(
-        dist.params.get("max_violation_rows") or P.DEFAULT_MAX_VIOLATIONS_PER_BATCH
+        dist.params["max_violation_rows"] or P.DEFAULT_MAX_VIOLATIONS_PER_BATCH
     )
 
 
 def _group_keys(dist: DistCheck) -> list[str]:
-    gb = dist.params.get("group_by") or []
+    gb = dist.params["group_by"] or []
     return [gb] if isinstance(gb, str) else list(gb)
 
 
@@ -248,6 +249,30 @@ def _unique_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
 
 
 def _fd_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
+    """Functional-dependency check (``kind: fd``): every determinant
+    value must map to exactly one dependent value (Deequ-style
+    "A determines B"). A row violates when its determinant group holds
+    ≥ 2 distinct dependent values.
+
+    Per batch, rows collapse to locally-distinct ``(det-ref, dep,
+    partition_id) -> cnt`` via one Arrow hash-aggregate, bucketed on the
+    determinant hash so a determinant's pairs land in ONE fold. Inside
+    the fold: exact pair counts, per-determinant distinct-dependent
+    count, then
+
+    - ``n_checked`` partials per partition = sum of cnt (exact per-pid
+      attribution: the pid rides every pair row, the advice-r2 rule),
+    - ``n_violations`` partials per partition = rows whose determinant
+      is inconsistent,
+    - one exemplar violation row per bad determinant (observed =
+      distinct-dependent count, detail = "fd"), attributed to the
+      determinant's min partition and capped at ``max_violation_rows``
+      per bucket.
+
+    NULL policy: rows with NULL determinant or NULL dependent are
+    excluded from both counts (COUNT(DISTINCT) semantics; the oracle
+    filters the same way). ``num_buckets`` is only the hash modulus.
+    """
     cid = dist.constraint_id
     # distinct dependents and min partition per determinant
     det = g.group_by(["row_ref", "ubucket"], use_threads=False).aggregate(
@@ -283,8 +308,36 @@ def _fd_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
 
 
 def _cardinality_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
+    """Distinct-cardinality check (``kind: cardinality``): the number
+    of distinct ``column`` values — per ``group_by`` group, whole table
+    as one group when omitted — must lie within
+    [``min_distinct``, ``max_distinct``] (either bound optional) —
+    Deequ's ``hasNumberOfDistinctValues`` as a distributed verdict
+    ("every language must keep >= k distinct sources", "a categorical
+    column stays within its expected arity").
+
+    Shape: per-batch LOCALLY DISTINCT (group, value) rows carrying their
+    min partition, bucketed on hash(GROUP) so one fold sees a group's
+    whole value set and decides it exactly, with no second stage. The
+    fold credits each distinct (group, value) to its FIRST-writer
+    partition (min pid: deterministic under any execution order), totals
+    each group and attributes its verdict to the DOMINANT contributor
+    (max credit, ties → min pid). NULL values / group keys are
+    excluded. The check unit is the GROUP: n_checked counts groups, an
+    out-of-bounds group is one violation with ``row_ref`` = the group
+    and ``observed`` = its distinct count; exemplars are capped at
+    ``max_violation_rows`` per bucket.
+
+    Trade: without ``group_by`` the whole table is one group, so every
+    batch's locally-distinct values go to ONE fold task (bounded by the
+    column's distinct count, not the row count). Hashing on (group,
+    value) with a second credit fold would spread that; it measured
+    ~1 s slower per validate() on the benchmark's GROUPED check (``lang``
+    by ``repo``, 2k-row corpus, Ray at num_cpus=2, 4-core VM). The
+    whole-table mode's single task has not been measured at a size
+    where it matters."""
     cid, col = dist.constraint_id, dist.params["column"]
-    lo, hi = dist.params.get("min_distinct"), dist.params.get("max_distinct")
+    lo, hi = dist.params["min_distinct"], dist.params["max_distinct"]
     # each distinct (group, value) credits its FIRST-writer partition
     # (min pid: deterministic under any execution order); a group's
     # verdict goes to its DOMINANT contributor: max credit, ties -> min
@@ -333,6 +386,18 @@ def _cardinality_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
 
 
 def _completeness_fold(g: pa.Table, dist: DistCheck) -> list[dict]:
+    """Completeness check (``kind: completeness``, Deequ's
+    ``completeness(col) >= c``): the column may be null in at most
+    ``max_null_rate`` of rows. Unlike ``required`` (zero-null strict,
+    a ROW check), the decision is a GLOBAL aggregate: per batch one
+    (partition_id, n, n_null) partial row per partition (NaN counts as
+    null for float columns — the kernel NaN policy), all of a check's
+    partials go to ONE bucket, and that fold applies the threshold to
+    the GLOBAL rate — per-partition RESULT rows keep exact attribution
+    (a partition's n_violations is its own null count) while pass/fail
+    is decided on the table-wide rate, so verdicts are
+    parallelism-invariant. One exemplar row marks a breach, attributed
+    to the partition contributing the most nulls (ties -> min pid)."""
     cid, col = dist.constraint_id, dist.params["column"]
     max_rate = float(dist.params["max_null_rate"])
     agg = (
@@ -450,7 +515,8 @@ def _standalone(
 ) -> "ray.data.Dataset":
     """One fused check outside validate(): its batch partial over ``ds``
     (a pass of its own, materialized so the exchange sizes from it),
-    then the shared exchange."""
+    then the shared exchange. perfbench's per-layer timings call it
+    through the three ``*_check_results`` below."""
 
     def partials(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -460,6 +526,29 @@ def _standalone(
 
     parts = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
     return fused_exchange(parts.materialize(), [dist])
+
+
+def completeness_check_results(
+    ds: "ray.data.Dataset", cs: ConstraintSet, dist: DistCheck
+) -> "ray.data.Dataset":
+    """The completeness check (``_completeness_fold``) over ``ds`` in a
+    pass of its own."""
+    return _standalone(ds, cs, dist)
+
+
+def fd_check_results(
+    ds: "ray.data.Dataset", cs: ConstraintSet, dist: DistCheck
+) -> "ray.data.Dataset":
+    """The fd check (``_fd_fold``) over ``ds`` in a pass of its own."""
+    return _standalone(ds, cs, dist)
+
+
+def cardinality_check_results(
+    ds: "ray.data.Dataset", cs: ConstraintSet, dist: DistCheck
+) -> "ray.data.Dataset":
+    """The cardinality check (``_cardinality_fold``) over ``ds`` in a
+    pass of its own."""
+    return _standalone(ds, cs, dist)
 
 
 def fused_refint_anti_results(
@@ -487,7 +576,7 @@ def fused_refint_anti_results(
     """
     cid = dist.constraint_id
     cols = list(dist.params["columns"])
-    pcols = list(dist.params.get("parent_columns", cols))
+    pcols = list(dist.params["parent_columns"])
     P_parts = join_partitions(num_partitions or cs.num_partitions)
 
     def project_rkey(t: pa.Table) -> pa.Table:
@@ -559,46 +648,6 @@ def fused_refint_anti_results(
         )
 
     return totals_ds.union(missing.map_batches(missing_rows, batch_format="pyarrow"))
-
-
-def drift_check_results(
-    ds: "ray.data.Dataset", cs: ConstraintSet, dist: DistCheck
-) -> "ray.data.Dataset":
-    """B9: per-partition KS/PSI drift vs a baseline profile — delegates
-    to vald.drift (needs sketches)."""
-    from . import drift
-
-    return drift.drift_check_results(ds, cs, dist)
-
-
-def group_drift_check_results(
-    ds: "ray.data.Dataset", cs: ConstraintSet, dist: DistCheck
-) -> "ray.data.Dataset":
-    """Per-group KS/PSI drift (``kind: group_drift``) — delegates to
-    vald.drift (needs sketches)."""
-    from . import drift
-
-    return drift.group_drift_check_results(ds, cs, dist)
-
-
-def completeness_check_results(
-    ds: "ray.data.Dataset", cs: ConstraintSet, dist: DistCheck
-) -> "ray.data.Dataset":
-    """Completeness check (``kind: completeness``, Deequ's
-    ``completeness(col) >= c``): the column may be null in at most
-    ``max_null_rate`` of rows. Unlike ``required`` (zero-null strict,
-    a ROW check), the decision is a GLOBAL aggregate: per batch one
-    (partition_id, n, n_null) partial row per partition (NaN counts as
-    null for float columns — the kernel NaN policy), all of a check's
-    partials go to ONE bucket, and that fold applies the threshold to
-    the GLOBAL rate — per-partition RESULT rows keep exact attribution
-    (a partition's n_violations is its own null count) while pass/fail
-    is decided on the table-wide rate, so verdicts are
-    parallelism-invariant. One exemplar row marks a breach, attributed
-    to the partition contributing the most nulls (ties -> min pid).
-    validate() computes the partials in its row pass; this function
-    runs them over ``ds`` on their own."""
-    return _standalone(ds, cs, dist)
 
 
 def quantile_bounds_check_results(
@@ -678,38 +727,6 @@ def quantile_bounds_check_results(
     return pruned.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def fd_check_results(
-    ds: "ray.data.Dataset", cs: ConstraintSet, dist: DistCheck
-) -> "ray.data.Dataset":
-    """Functional-dependency check (``kind: fd``): every determinant
-    value must map to exactly one dependent value (Deequ-style
-    "A determines B"). A row violates when its determinant group holds
-    ≥ 2 distinct dependent values.
-
-    Per batch, rows collapse to locally-distinct ``(det-ref, dep,
-    partition_id) -> cnt`` via one Arrow hash-aggregate, bucketed on the
-    determinant hash so a determinant's pairs land in ONE fold. Inside
-    the fold: exact pair counts, per-determinant distinct-dependent
-    count, then
-
-    - ``n_checked`` partials per partition = sum of cnt (exact per-pid
-      attribution: the pid rides every pair row, the advice-r2 rule),
-    - ``n_violations`` partials per partition = rows whose determinant
-      is inconsistent,
-    - one exemplar violation row per bad determinant (observed =
-      distinct-dependent count, detail = "fd"), attributed to the
-      determinant's min partition and capped at ``max_violation_rows``
-      per bucket.
-
-    NULL policy: rows with NULL determinant or NULL dependent are
-    excluded from both counts (COUNT(DISTINCT) semantics; the oracle
-    filters the same way). ``num_buckets`` is only the hash modulus.
-    validate() computes the partials in its row pass; this function
-    runs them over ``ds`` on their own.
-    """
-    return _standalone(ds, cs, dist)
-
-
 def _pid_cols(cs: ConstraintSet) -> list[str]:
     return [cs.partition_by] if cs.partition_by else []
 
@@ -787,8 +804,8 @@ def monotonic_check_results(
     key_cols = list(dist.params["key"])
     order_cols = list(dist.params["order"])
     col = dist.params["column"]
-    strict = bool(dist.params.get("strict", False))
-    direction = dist.params.get("direction", "increasing")
+    strict = bool(dist.params["strict"])
+    direction = dist.params["direction"]
     detail = f"monotonic[{direction}{',strict' if strict else ''}]"
     cid = dist.constraint_id
     max_rows = _max_rows(dist)
@@ -834,22 +851,23 @@ def monotonic_check_results(
         add_carry=_add_carry(cs),
         strict=strict,
         increasing=direction == "increasing",
-        num_buckets=int(dist.params.get("num_buckets", 256)),
+        num_buckets=int(dist.params["num_buckets"]),
     )
 
 
 def reconcile_check_results(
     ds: "ray.data.Dataset",
-    other: "ray.data.Dataset",
     cs: ConstraintSet,
     dist: DistCheck,
+    parents: dict | None,
 ) -> "ray.data.Dataset":
     """Cross-table reconciliation check (``kind: reconcile``): each
     validated row's ``column`` must equal ``sum(other_sum)`` over the
     ``other_table`` rows sharing its key, within ``tolerance`` — the
     accounting consistency neither refint (existence) nor FD
-    (functional shape) expresses. ``other`` resolves from the same
-    ``parents=`` mapping refint uses.
+    (functional shape) expresses. The other table resolves from the
+    same ``parents`` mapping (validate()'s ``parents=``) refint uses; a
+    pa.Table is wrapped into a Dataset.
 
     Shape: ``ops.stats.reconcile_exchange``, the route of the
     ``reconcile_ds`` op — the other table never ships rows, only
@@ -867,9 +885,19 @@ def reconcile_check_results(
     the ``value != sum`` pair."""
     from .ops.stats import reconcile_exchange
 
+    other = (parents or {}).get(dist.params["other_table"])
+    if other is None:
+        raise ValueError(
+            f"reconcile check {dist.constraint_id!r} needs "
+            f"parents[{dist.params['other_table']!r}]"
+        )
+    if isinstance(other, pa.Table):
+        other = ray.data.from_arrow(other)
+    elif not hasattr(other, "map_batches"):
+        raise ValueError("reconcile other_table must be a Dataset or pyarrow Table")
     key = dist.params["key"]
     col = dist.params["column"]
-    missing_viol = dist.params.get("missing_other", "violation") == "violation"
+    missing_viol = dist.params["missing_other"] == "violation"
     cid = dist.constraint_id
     max_rows = _max_rows(dist)
 
@@ -920,8 +948,8 @@ def reconcile_check_results(
         fold,
         carry=_CARRY,
         add_carry=_add_carry(cs),
-        tolerance=float(dist.params.get("tolerance", 0.01)),
-        num_buckets=int(dist.params.get("num_buckets", 256)),
+        tolerance=float(dist.params["tolerance"]),
+        num_buckets=int(dist.params["num_buckets"]),
     )
 
 
@@ -950,8 +978,7 @@ def freshness_check_results(
         as_of_us = int(as_of)
     max_age_s = float(dist.params["max_age_s"])
     threshold = as_of_us - int(round(max_age_s * 1_000_000))
-    gb = dist.params.get("group_by") or []
-    keys = [gb] if isinstance(gb, str) else list(gb)
+    keys = _group_keys(dist)
     cid = dist.constraint_id
     max_rows = _max_rows(dist)
 
@@ -1025,37 +1052,18 @@ def freshness_check_results(
     )
 
 
-def cardinality_check_results(
-    ds: "ray.data.Dataset", cs: ConstraintSet, dist: DistCheck
-) -> "ray.data.Dataset":
-    """Distinct-cardinality check (``kind: cardinality``): the number
-    of distinct ``column`` values — per ``group_by`` group, whole table
-    as one group when omitted — must lie within
-    [``min_distinct``, ``max_distinct``] (either bound optional) —
-    Deequ's ``hasNumberOfDistinctValues`` as a distributed verdict
-    ("every language must keep >= k distinct sources", "a categorical
-    column stays within its expected arity").
+def _input_only(fn: Callable) -> Callable:
+    """``fn(ds, cs, dist)`` with ``OWN_PASS_KINDS``' signature."""
+    return lambda ds, cs, dist, parents: fn(ds, cs, dist)
 
-    Shape: per-batch LOCALLY DISTINCT (group, value) rows carrying their
-    min partition, bucketed on hash(GROUP) so one fold sees a group's
-    whole value set and decides it exactly, with no second stage. The
-    fold credits each distinct (group, value) to its FIRST-writer
-    partition (min pid: deterministic under any execution order), totals
-    each group and attributes its verdict to the DOMINANT contributor
-    (max credit, ties → min pid). NULL values / group keys are
-    excluded. The check unit is the GROUP: n_checked counts groups, an
-    out-of-bounds group is one violation with ``row_ref`` = the group
-    and ``observed`` = its distinct count; exemplars are capped at
-    ``max_violation_rows`` per bucket.
 
-    Trade: without ``group_by`` the whole table is one group, so every
-    batch's locally-distinct values go to ONE fold task (bounded by the
-    column's distinct count, not the row count). Hashing on (group,
-    value) with a second credit fold would spread that; it measured
-    ~1 s slower per validate() on the benchmark's GROUPED check (``lang``
-    by ``repo``, 2k-row corpus, Ray at num_cpus=2, 4-core VM). The
-    whole-table mode's single task has not been measured at a size
-    where it matters.
-    validate() computes the partials in its row pass; this function
-    runs them over ``ds`` on their own."""
-    return _standalone(ds, cs, dist)
+# The kinds that still read the input in a pass of their own:
+# {kind: fn(ds, cs, dist, parents) -> RESULT_SCHEMA rows}.
+OWN_PASS_KINDS: dict[str, Callable] = {
+    "drift": _input_only(drift.drift_check_results),
+    "group_drift": _input_only(drift.group_drift_check_results),
+    "freshness": _input_only(freshness_check_results),
+    "monotonic": _input_only(monotonic_check_results),
+    "quantile_bounds": _input_only(quantile_bounds_check_results),
+    "reconcile": reconcile_check_results,
+}

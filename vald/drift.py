@@ -707,16 +707,16 @@ def group_drift_check_results(
     recorded in row_ref/observed."""
     from .hashing import partition_ids as _pids
 
-    bt = dist.params.get("baseline_table")
+    bt = dist.params["baseline_table"]
     baseline = bt if bt is not None else load_baseline(dist.params["baseline"])
     stats = group_drift_stats(
         ds,
         dist.params["group_by"],
         baseline,
-        list(dist.params.get("columns", [])),
-        list(dist.params.get("cat_columns", [])),
-        ks_threshold=float(dist.params.get("ks_threshold", 0.15)),
-        psi_threshold=float(dist.params.get("psi_threshold", 0.25)),
+        dist.params["columns"],
+        dist.params["cat_columns"],
+        ks_threshold=float(dist.params["ks_threshold"]),
+        psi_threshold=float(dist.params["psi_threshold"]),
     )
     cid = dist.constraint_id
     n_parts = cs.num_partitions
@@ -762,16 +762,16 @@ def drift_check_results(
 ) -> "ray.data.Dataset":
     """B9 entry called from pipeline.validate for ``kind: drift`` checks.
 
-    params: columns (numeric view), cat_columns, baseline (path) OR
-    baseline_table (pa.Table), ks_threshold (default 0.15),
-    psi_threshold (default 0.25)."""
-    numeric_cols = list(dist.params.get("columns", []))
-    cat_cols = list(dist.params.get("cat_columns", []))
+    params (defaults in ``ir.KINDS``): columns (numeric view),
+    cat_columns, baseline (path) OR baseline_table (pa.Table),
+    ks_threshold, psi_threshold."""
+    numeric_cols = dist.params["columns"]
+    cat_cols = dist.params["cat_columns"]
     merged = _merged_sketches(ds, numeric_cols, cat_cols, cs)
 
-    baseline_path = dist.params.get("baseline")
+    baseline_path = dist.params["baseline"]
     baseline_bytes = None
-    bt = dist.params.get("baseline_table")
+    bt = dist.params["baseline_table"]
     if bt is not None:
         import io
 
@@ -788,8 +788,8 @@ def drift_check_results(
             "baseline_path": baseline_path,
             "baseline_table": baseline_bytes,
             "cid": dist.constraint_id,
-            "ks_threshold": float(dist.params.get("ks_threshold", 0.15)),
-            "psi_threshold": float(dist.params.get("psi_threshold", 0.25)),
+            "ks_threshold": float(dist.params["ks_threshold"]),
+            "psi_threshold": float(dist.params["psi_threshold"]),
         },
         batch_format="pyarrow",
         concurrency=(1, 2),

@@ -16,15 +16,18 @@ Two compile entry points:
 so violation keys are deterministic across runs and cluster sizes
 (BASELINE.json:6 violation key contract).
 
-Row-kind checks FUSE into one map_batches pass (SURVEY.md §3.4);
-agg/cross-table/drift kinds each plan their own stage in pipeline.py.
+``KINDS`` holds one compile rule per check kind: its keys and their
+defaults, its default id and severity, and whether it is a row check
+(FUSED into the one map_batches pass, SURVEY.md §3.4) or a dataset-level
+``DistCheck`` that validate() plans (constraints_dist.FUSED_KINDS,
+constraints_dist.OWN_PASS_KINDS, refint's planner).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -38,6 +41,7 @@ __all__ = [
     "ConstraintSet",
     "compile_table_spec",
     "compile_value_schema",
+    "KINDS",
     "register_check",
 ]
 
@@ -158,7 +162,7 @@ class CompiledCheck:
             allowed = ["\x00".join(map(str, pair)) for pair in p["pairs"]]
             ok = K._to_np(pc.is_in(joined, value_set=pa.array(allowed)))
             anynull = K._to_np(pc.is_null(joined))
-            if p.get("guard_left_in_domain"):
+            if p["guard_left_in_domain"]:
                 # conditional-dependency semantics [spec03 §5.8]: the
                 # pair constraint only applies when the left value is in
                 # the declared domain (out-of-domain values are the
@@ -201,10 +205,7 @@ class DistCheck:
     by pipeline.py / constraints_dist.py, not evaluated per batch."""
 
     constraint_id: str
-    # "unique" | "fd" | "cardinality" | "completeness" | "refint" |
-    # "drift" | "group_drift" | "freshness" | "monotonic" | "reconcile" |
-    # "quantile_bounds"
-    kind: str
+    kind: str  # a KINDS entry that is not a row kind
     params: dict = field(default_factory=dict)
     severity: str = "error"
 
@@ -313,22 +314,154 @@ def _compile_column(table: str, col: str, colspec: dict) -> list[CompiledCheck]:
     return checks
 
 
-# Parameters a check kind cannot run without (checked at compile time);
-# a tuple entry names alternatives, one of which must be set.
-_REQUIRED_PARAMS = {
-    "sha_equal": ("column", "expected"),
-    "unique": ("columns",),
-    "refint": ("columns",),
-    "fd": ("columns", "dependent"),
-    "completeness": ("column", "max_null_rate"),
-    "cardinality": ("column",),
-    "quantile_bounds": ("column",),
-    "monotonic": ("key", "order", "column"),
-    "freshness": ("column", "as_of", "max_age_s"),
-    "reconcile": ("key", "column", "other_table", "other_key", "other_sum"),
-    "drift": (("baseline", "baseline_table"),),
-    "group_drift": ("group_by", ("baseline", "baseline_table")),
+class Kind(NamedTuple):
+    """How one check kind compiles: the keys it takes, how its default
+    id is built, and whether it is a row check or a dataset-level one."""
+
+    # keys it cannot run without (checked at compile time: checks run
+    # inside Ray tasks, where a missing key would fail mid-pipeline as a
+    # KeyError); a tuple entry names alternatives, one of which must be set
+    required: tuple
+    # the other keys it takes -> default (a callable default is computed
+    # from the check's other keys); every other key is a SpecError
+    optional: dict
+    # the middle part of the default id "<table>.<target>.<kind>"
+    # (None: "<table>.<kind>")
+    target: Callable[[dict], str | None]
+    # keys holding column lists: a bare string is a 1-list
+    lists: tuple = ()
+    severity: str = "error"
+    # True: a CompiledCheck of the row pass (its "column" key is the
+    # check's column, its "id" key only names the default id); False: a
+    # DistCheck, planned by validate()
+    row: bool = False
+
+
+def _column(p: dict) -> str:
+    return p["column"]
+
+
+def _columns(p: dict) -> str:
+    return "_".join(p["columns"])
+
+
+def _expr(name: str, required: tuple, **optional) -> Kind:
+    """An expression kind (A12 cross-field checks over one row's
+    operands), named by its ``column``, else its ``id``, else the kind."""
+    return Kind(
+        required,
+        {"column": None, "id": None, **optional},
+        lambda p: p["column"] or p["id"] or name,
+        row=True,
+    )
+
+
+# exemplar cap and bucket-hash modulus of the exchanged kinds
+_BUCKETED = {"num_buckets": 256, "max_violation_rows": None}
+# B9 drift (per partition) and group_drift (per group) vs a baseline
+# profile (path or Arrow table)
+_DRIFT = {
+    "columns": (),
+    "cat_columns": (),
+    "ks_threshold": 0.15,
+    "psi_threshold": 0.25,
 }
+
+# Every check kind of a table spec's "checks" list (SURVEY.md §3.4: one
+# rule per kind, as a JSON Schema validator dispatches per keyword).
+KINDS: dict[str, Kind] = {
+    # B3 per-row invariant: sha256(column) equals the ``expected`` column
+    "sha_equal": Kind(("column", "expected"), {}, _column, row=True),
+    "compare": _expr("compare", ("left", "op", "right")),
+    # if <cond> holds then <then> must hold [spec03 §5.8 dependencies]
+    "implies": _expr(
+        "implies", ("cond_left", "cond_op", "cond_right", "left", "op", "right")
+    ),
+    # guard_left_in_domain: only pairs whose left value is in the
+    # declared domain are checked
+    "pair_in_set": _expr(
+        "pair_in_set", ("left", "right", "pairs"), guard_left_in_domain=False
+    ),
+    "unique": Kind(("columns",), {}, _columns, lists=("columns",)),
+    # parent keys come from validate()'s parents[parent_table] or are
+    # read from parent_path; strategy: "auto" | "broadcast" |
+    # "anti_join" | "bloom_screen" (approximate, one-sided)
+    "refint": Kind(
+        ("columns",),
+        {
+            "parent_table": None,
+            "parent_columns": lambda p: p["columns"],
+            "parent_path": None,
+            "strategy": "auto",
+            "max_broadcast_keys": None,
+            "bits_per_key": 16,
+        },
+        _columns,
+        lists=("columns", "parent_columns"),
+    ),
+    # empirical-outlier screen: values outside the table's own exact
+    # [P(lower_q), P(upper_q)] quantiles are violations
+    "quantile_bounds": Kind(
+        ("column",),
+        {"lower_q": 0.0, "upper_q": 1.0, "max_violation_rows": None},
+        _column,
+        severity="warn",
+    ),
+    # null-rate threshold (Deequ "completeness >= c")
+    "completeness": Kind(("column", "max_null_rate"), {}, _column),
+    # per-group staleness: latest ``column`` within max_age_s of the
+    # explicit as_of (never wall clock: determinism)
+    "freshness": Kind(
+        ("column", "as_of", "max_age_s"),
+        {"group_by": None, "max_violation_rows": None},
+        _column,
+    ),
+    # distinct-count bounds (Deequ hasNumberOfDistinctValues) per group
+    "cardinality": Kind(
+        ("column", ("min_distinct", "max_distinct")),
+        {"group_by": None, **_BUCKETED},
+        _column,
+    ),
+    # cross-table aggregate consistency: column == sum(other_sum) over
+    # the other_table rows sharing the key
+    "reconcile": Kind(
+        ("key", "column", "other_table", "other_key", "other_sum"),
+        {"tolerance": 0.01, "missing_other": "violation", **_BUCKETED},
+        _column,
+    ),
+    # ordering invariant: within each key, in (order...) order, column
+    # never steps the wrong way vs its predecessor
+    "monotonic": Kind(
+        ("key", "order", "column"),
+        {"strict": False, "direction": "increasing", **_BUCKETED},
+        _column,
+        lists=("key", "order"),
+    ),
+    # functional dependency: columns (determinant) -> dependent
+    "fd": Kind(
+        ("columns", "dependent"),
+        _BUCKETED,
+        lambda p: f"{_columns(p)}->{p['dependent']}",
+        lists=("columns",),
+    ),
+    "drift": Kind(
+        (("baseline", "baseline_table"),),
+        _DRIFT,
+        lambda p: None,
+        lists=("columns", "cat_columns"),
+        severity="warn",
+    ),
+    "group_drift": Kind(
+        ("group_by", ("baseline", "baseline_table")),
+        _DRIFT,
+        lambda p: p["group_by"],
+        lists=("columns", "cat_columns"),
+        severity="warn",
+    ),
+}
+
+# keys every check kind takes
+_CHECK_KEYS = ("kind", "constraint_id", "severity")
 
 
 def compile_table_spec(spec: dict) -> ConstraintSet:
@@ -342,7 +475,7 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
          "partition_by": "repo", "num_partitions": 8,
          "columns": {"commit": {"required": True, "pattern": "^[0-9a-f]{40}$"},
                      "lang": {"enum": ["py", "js"]}},
-         "checks": [  # cross-field + distributed
+         "checks": [  # cross-field + distributed, one rule per KINDS entry
             {"kind": "compare", "id": "len_eq", "left": {...}, "op": "==", "right": {...}},
             {"kind": "implies", ...}, {"kind": "pair_in_set", ...},
             {"kind": "unique", "columns": ["repo","path","commit"]},
@@ -350,6 +483,9 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
              "parent_columns": ["repo"]},
             {"kind": "drift", "columns": [...], "baseline": <path>,
              "ks_threshold": 0.1, "psi_threshold": 0.2}]}
+
+    A check's id is its ``constraint_id``, else ``"<table>.<target>.<kind>"``
+    (``KINDS[kind].target``) with a ``.N`` suffix on the N-th repeat.
     """
     if "table" not in spec:
         raise SpecError("spec missing 'table'")
@@ -377,247 +513,45 @@ def compile_table_spec(spec: dict) -> ConstraintSet:
         return base if n == 0 else f"{base}.{n}"
 
     for i, chk in enumerate(spec.get("checks", [])):
-        kind = chk.get("kind")
-        # checks run inside Ray tasks: a missing parameter must fail
-        # here, not as a KeyError mid-pipeline
-        for key in _REQUIRED_PARAMS.get(kind, ()):
+        name = chk.get("kind")
+        if name not in KINDS:
+            raise SpecError(f"unknown check kind {name!r}")
+        kind = KINDS[name]
+        where = f"checks[{i}] (kind {name!r})"
+        params = {}
+        for key in kind.required:
             alts = key if isinstance(key, tuple) else (key,)
             if all(chk.get(k) is None for k in alts):
                 raise SpecError(
-                    f"checks[{i}] (kind {kind!r}): missing required key "
-                    + " or ".join(repr(k) for k in alts)
+                    f"{where}: missing required key " + " or ".join(repr(k) for k in alts)
                 )
-        if kind == "sha_equal":
-            col = chk["column"]
-            cs.row_checks.append(
-                CompiledCheck(
-                    constraint_id=chk.get("constraint_id")
-                    or next_id(f"{table}.{col}.sha_equal"),
-                    keyword="sha_equal",
-                    column=col,
-                    params={"expected": chk["expected"]},
-                    severity=chk.get("severity", "error"),
-                )
-            )
-        elif kind in ("compare", "implies", "pair_in_set"):
-            col = chk.get("column") or chk.get("id") or kind
-            cid = next_id(f"{table}.{col}.{kind}")
-            cs.row_checks.append(
-                CompiledCheck(
-                    constraint_id=chk.get("constraint_id", cid),
-                    keyword=kind,
-                    column=chk.get("column"),
-                    params={k: v for k, v in chk.items() if k not in ("kind", "id", "column", "constraint_id", "severity")},
-                    severity=chk.get("severity", "error"),
-                )
-            )
-        elif kind == "unique":
-            cols = chk["columns"]
-            cid = chk.get("constraint_id") or next_id(
-                f"{table}.{'_'.join(cols)}.unique"
-            )
-            cs.dist_checks.append(
-                DistCheck(cid, "unique", {"columns": cols}, chk.get("severity", "error"))
-            )
-        elif kind == "refint":
-            cols = chk["columns"]
-            cid = chk.get("constraint_id") or next_id(
-                f"{table}.{'_'.join(cols)}.refint"
-            )
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "refint",
-                    {
-                        "columns": cols,
-                        "parent_table": chk.get("parent_table"),
-                        "parent_columns": chk.get("parent_columns", cols),
-                        "parent_path": chk.get("parent_path"),
-                        # planner knobs (validate() reads these):
-                        # "auto" | "broadcast" | "anti_join" |
-                        # "bloom_screen" (approximate, one-sided)
-                        "strategy": chk.get("strategy", "auto"),
-                        "max_broadcast_keys": chk.get("max_broadcast_keys"),
-                        "bits_per_key": chk.get("bits_per_key", 16),
-                    },
-                    chk.get("severity", "error"),
-                )
-            )
-        elif kind == "quantile_bounds":
-            # empirical-outlier screen: values outside the table's own
-            # exact [P(lower_q), P(upper_q)] quantiles are violations
-            col = chk["column"]
-            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.quantile_bounds")
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "quantile_bounds",
-                    {
-                        "column": col,
-                        "lower_q": float(chk.get("lower_q", 0.0)),
-                        "upper_q": float(chk.get("upper_q", 1.0)),
-                        # exemplar cap passthrough (ADVICE r3: was
-                        # silently dropped; the results fn reads it)
-                        "max_violation_rows": chk.get("max_violation_rows"),
-                    },
-                    chk.get("severity", "warn"),
-                )
-            )
-        elif kind == "completeness":
-            # null-rate threshold (Deequ "completeness >= c"): the
-            # column may hold nulls up to max_null_rate of checked rows
-            col = chk["column"]
-            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.completeness")
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "completeness",
-                    {
-                        "column": col,
-                        "max_null_rate": float(chk["max_null_rate"]),
-                    },
-                    chk.get("severity", "error"),
-                )
-            )
-        elif kind == "freshness":
-            # per-group staleness: latest `column` within max_age_s of
-            # the explicit as_of (never wall clock — determinism)
-            col = chk["column"]
-            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.freshness")
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "freshness",
-                    {
-                        "column": col,
-                        "as_of": chk["as_of"],
-                        "max_age_s": chk["max_age_s"],
-                        "group_by": chk.get("group_by"),
-                        "max_violation_rows": chk.get("max_violation_rows"),
-                    },
-                    chk.get("severity", "error"),
-                )
-            )
-        elif kind == "cardinality":
-            # distinct-count bounds (Deequ hasNumberOfDistinctValues):
-            # distinct `column` values per group within [min, max]
-            col = chk["column"]
-            if chk.get("min_distinct") is None and chk.get("max_distinct") is None:
-                raise SpecError(
-                    f"checks[{i}]: cardinality check needs min_distinct and/or max_distinct"
-                )
-            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.cardinality")
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "cardinality",
-                    {
-                        "column": col,
-                        "min_distinct": chk.get("min_distinct"),
-                        "max_distinct": chk.get("max_distinct"),
-                        "group_by": chk.get("group_by"),
-                        "num_buckets": chk.get("num_buckets", 256),
-                        "max_violation_rows": chk.get("max_violation_rows"),
-                    },
-                    chk.get("severity", "error"),
-                )
-            )
-        elif kind == "reconcile":
-            # cross-table aggregate consistency: column ==
-            # sum(other_sum) over other_table rows sharing the key
-            col = chk["column"]
-            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.reconcile")
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "reconcile",
-                    {
-                        "key": chk["key"],
-                        "column": col,
-                        "other_table": chk["other_table"],
-                        "other_key": chk["other_key"],
-                        "other_sum": chk["other_sum"],
-                        "tolerance": chk.get("tolerance", 0.01),
-                        "missing_other": chk.get("missing_other", "violation"),
-                        "num_buckets": chk.get("num_buckets", 256),
-                        "max_violation_rows": chk.get("max_violation_rows"),
-                    },
-                    chk.get("severity", "error"),
-                )
-            )
-        elif kind == "monotonic":
-            # ordering invariant: within each key, in (order...) order,
-            # `column` never steps the wrong way vs its predecessor
-            keyc = chk["key"]
-            keyc = [keyc] if isinstance(keyc, str) else list(keyc)
-            orderc = chk["order"]
-            orderc = [orderc] if isinstance(orderc, str) else list(orderc)
-            col = chk["column"]
-            cid = chk.get("constraint_id") or next_id(f"{table}.{col}.monotonic")
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "monotonic",
-                    {
-                        "key": keyc,
-                        "order": orderc,
-                        "column": col,
-                        "strict": bool(chk.get("strict", False)),
-                        "direction": chk.get("direction", "increasing"),
-                        "num_buckets": chk.get("num_buckets", 256),
-                        "max_violation_rows": chk.get("max_violation_rows"),
-                    },
-                    chk.get("severity", "error"),
-                )
-            )
-        elif kind == "fd":
-            # functional dependency: columns (determinant) -> dependent.
-            # A bare-string determinant is normalized to a 1-list
-            # (ADVICE r3: list("col") exploded it into characters).
-            cols = chk["columns"]
-            cols = [cols] if isinstance(cols, str) else list(cols)
-            dep = chk["dependent"]
-            cid = chk.get("constraint_id") or next_id(
-                f"{table}.{'_'.join(cols)}->{dep}.fd"
-            )
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "fd",
-                    {
-                        "columns": cols,
-                        "dependent": dep,
-                        "num_buckets": chk.get("num_buckets", 256),
-                        "max_violation_rows": chk.get("max_violation_rows"),
-                    },
-                    chk.get("severity", "error"),
-                )
-            )
-        elif kind == "group_drift":
-            # per-group (language/domain/source) distribution shift vs
-            # a per-group baseline — params pass through like drift
-            gcol = chk["group_by"]
-            cid = chk.get("constraint_id") or next_id(f"{table}.{gcol}.group_drift")
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "group_drift",
-                    {k: v for k, v in chk.items() if k not in ("kind", "constraint_id", "severity")},
-                    chk.get("severity", "warn"),
-                )
-            )
-        elif kind == "drift":
-            cid = chk.get("constraint_id") or next_id(f"{table}.drift")
-            cs.dist_checks.append(
-                DistCheck(
-                    cid,
-                    "drift",
-                    {k: v for k, v in chk.items() if k not in ("kind", "constraint_id", "severity")},
-                    chk.get("severity", "warn"),
-                )
-            )
+            params.update((k, chk.get(k)) for k in alts)
+        unknown = [
+            k for k in chk if k not in params and k not in kind.optional and k not in _CHECK_KEYS
+        ]
+        if unknown:
+            raise SpecError(f"{where}: unknown key(s) {unknown}")
+        for k, default in kind.optional.items():
+            if k in chk:
+                params[k] = chk[k]
+            else:
+                params[k] = default(params) if callable(default) else default
+        for k in kind.lists:
+            if isinstance(params[k], str):
+                params[k] = [params[k]]
+            elif params[k] is not None:
+                params[k] = list(params[k])
+        target = kind.target(params)
+        cid = chk.get("constraint_id") or next_id(
+            f"{table}.{target}.{name}" if target else f"{table}.{name}"
+        )
+        severity = chk.get("severity", kind.severity)
+        if kind.row:
+            column = params.pop("column", None)
+            params.pop("id", None)
+            cs.row_checks.append(CompiledCheck(cid, name, column, params, severity))
         else:
-            raise SpecError(f"unknown check kind {kind!r}")
+            cs.dist_checks.append(DistCheck(cid, name, params, severity))
     # validate() keys per-check state by id (the shared exchange's
     # partials, refint's broadcast parent keys): two dataset-level checks
     # with one id would run under one check's params

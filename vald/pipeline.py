@@ -827,8 +827,9 @@ def validate(
     decided in one shared keyed exchange (constraints_dist.fused_exchange)
     whose fan-out comes from the pass's output row count; with one fold
     task it runs no Ray sort.
-    drift, group_drift, freshness, monotonic, reconcile and
-    quantile_bounds still read ``ds`` themselves.
+    The kinds of constraints_dist.OWN_PASS_KINDS (drift, group_drift,
+    freshness, monotonic, reconcile and quantile_bounds) still read
+    ``ds`` themselves.
 
     The row pass is one stateless task per block of ``ds``. Over a
     ``sources.read_source`` input with at least as many files as the
@@ -864,9 +865,9 @@ def validate(
     for dist in cs.dist_checks:
         if dist.kind != "refint":
             continue
-        pt = dist.params.get("parent_table")
+        pt = dist.params["parent_table"]
         src = (parents or {}).get(pt) if pt else None
-        if src is None and dist.params.get("parent_path"):
+        if src is None and dist.params["parent_path"]:
             src = ray.data.read_parquet(
                 dist.params["parent_path"], columns=list(dist.params["parent_columns"])
             )
@@ -875,10 +876,8 @@ def validate(
         pcols = list(dist.params["parent_columns"])
         if isinstance(src, list):  # then planned like any Table parent
             src = _list_table(src, pcols)
-        strategy = dist.params.get("strategy", "auto")
-        threshold = int(
-            dist.params.get("max_broadcast_keys") or DEFAULT_MAX_BROADCAST_KEYS
-        )
+        strategy = dist.params["strategy"]
+        threshold = int(dist.params["max_broadcast_keys"] or DEFAULT_MAX_BROADCAST_KEYS)
         cid = dist.constraint_id
 
         if strategy == "bloom_screen":
@@ -894,7 +893,7 @@ def validate(
 
             bloom = BloomFilter(
                 _parent_key_hashes(src, pcols),
-                bits_per_key=int(dist.params.get("bits_per_key", 16)),
+                bits_per_key=int(dist.params["bits_per_key"]),
             )
             broadcast_refs[cid] = ray.put(bloom)
             continue
@@ -951,40 +950,16 @@ def validate(
     if fused:
         combined = combined.union(cd.fused_exchange(raw, fused))
     for dist in cs.dist_checks:
-        if dist.kind == "refint" and dist.constraint_id in refint_fused:
+        if dist.constraint_id in anti_parents:
             combined = combined.union(
                 cd.fused_refint_anti_results(
                     raw, anti_parents[dist.constraint_id], cs, dist
                 )
             )
-    # kinds that still read the input themselves (own pruned pass)
-    reads_input = {
-        "drift": cd.drift_check_results,
-        "group_drift": cd.group_drift_check_results,
-        "freshness": cd.freshness_check_results,
-        "monotonic": cd.monotonic_check_results,
-        "quantile_bounds": cd.quantile_bounds_check_results,
-    }
-    for dist in cs.dist_checks:
-        if dist.kind in reads_input:
-            combined = combined.union(reads_input[dist.kind](ds, cs, dist))
-        elif dist.kind == "reconcile":
-            # other table resolves from the same parents= mapping refint
-            # uses; pa.Table / list sources are wrapped into a Dataset
-            src = (parents or {}).get(dist.params["other_table"])
-            if src is None:
-                raise ValueError(
-                    f"reconcile check {dist.constraint_id!r} needs "
-                    f"parents[{dist.params['other_table']!r}]"
-                )
-            if isinstance(src, pa.Table):
-                src = ray.data.from_arrow(src)
-            elif not hasattr(src, "map_batches"):
-                raise ValueError(
-                    "reconcile other_table must be a Dataset or pyarrow Table"
-                )
+        elif dist.kind in cd.OWN_PASS_KINDS:
+            # kinds that still read the input themselves (own pruned pass)
             combined = combined.union(
-                cd.reconcile_check_results(ds, src, cs, dist)
+                cd.OWN_PASS_KINDS[dist.kind](ds, cs, dist, parents)
             )
 
     # A11 schema congruence: plan-time, driver-side (ds.schema() is
