@@ -283,3 +283,29 @@ def test_exchange_sorts_only_to_partition(ray_session, forced_fold_tasks, k):
     ops = [ln for ln in res.combined.stats().splitlines() if ln.startswith("Operator")]
     assert chosen[-1] == k
     assert any(" Sort" in ln for ln in ops) == (k > 1), ops
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_task_exchange_folds_and_projects(ray_session, forced_fold_tasks, k):
+    """With one fold task the result projection and the fused fold run
+    in one task: after the row pass, ``combined.stats()`` shows one
+    ``MapBatches`` and no ``Union``. With more, both stay in the plan."""
+    import ray.data
+
+    chosen = forced_fold_tasks(k)
+    t = pa.table({"id": np.arange(300), "x": pa.array(np.arange(300) % 50)})
+    spec = compile_table_spec(
+        {"table": "t", "row_ref": ["id"],
+         "columns": {"x": {"type": "integer", "maximum": 40}},
+         "checks": [{"kind": "unique", "columns": ["x"]}]}
+    )
+    res = P.validate(ray.data.from_arrow(t).repartition(3), spec)
+    v = res.verdicts_table()
+    assert sum(v["n_violations"].to_pylist()) > 0
+    ops = [ln for ln in res.combined.stats().splitlines() if ln.startswith("Operator")]
+    assert chosen[-1] == k
+    row_pass = next(i for i, ln in enumerate(ops) if "_TaskValidator" in ln)
+    after = ops[row_pass + 1:]
+    if k == 1:
+        assert len(after) == 1 and "MapBatches" in after[0], ops
+    assert any("Union" in ln for ln in ops) == (k > 1), ops

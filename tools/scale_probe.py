@@ -6,6 +6,8 @@ and a large input block count.
     python tools/scale_probe.py --dir DIR --rows 100000 [--extra] [--runs 1]
                                 [--num-cpus 2] [--dump PREFIX]
     python tools/scale_probe.py --keyed [--rows 20000] [--runs 1] [--num-cpus 2]
+    python tools/scale_probe.py --dir DIR --parent-keys 1000000 [--rows 200000]
+                                [--runs 1] [--num-cpus 2]
 
 Writes ``vald.corpus.write_corpus(DIR/corpus-n<rows>, rows)`` on the first
 call (later calls reuse it), then starts a Ray session with ``--num-cpus``
@@ -29,6 +31,14 @@ with their inputs in 4 and in 100 blocks, ``--runs`` times after one
 untimed warm-up. Each line gives a wall time and a digest of the sorted
 output (verdicts and violations for the check), which must agree across
 block counts and checkouts.
+
+``--parent-keys N`` times ``validate()`` of one refint check whose parent
+is a ``ray.data.read_parquet`` Dataset of N distinct string keys (written
+once to DIR/parent-k<N>.parquet; N stays under ``max_broadcast_keys``, so
+the check takes the broadcast route) against a child of ``--rows`` rows
+(default 200k, in 4 blocks, about 1% of them orphans), ``--runs`` times
+after one untimed warm-up. Each line gives the wall time and a digest of
+the sorted verdicts and violations, which must agree across checkouts.
 """
 
 from __future__ import annotations
@@ -137,6 +147,56 @@ def keyed(rows: int, runs: int) -> None:
                 )
 
 
+def large_parent(d: str, n_keys: int, rows: int, runs: int) -> None:
+    """The ``--parent-keys`` probe (see the module docstring)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+
+    from vald import pipeline
+    from vald.runtime import DEFAULT_MAX_BROADCAST_KEYS
+
+    if n_keys > DEFAULT_MAX_BROADCAST_KEYS:
+        raise SystemExit(f"--parent-keys must be at most {DEFAULT_MAX_BROADCAST_KEYS}")
+
+    def keys(ids):
+        return pc.binary_join_element_wise("repo", pc.cast(pa.array(ids), pa.string()), "")
+
+    path = os.path.join(d, f"parent-k{n_keys}.parquet")
+    if not os.path.exists(path):
+        os.makedirs(d, exist_ok=True)
+        pq.write_table(pa.table({"repo": keys(np.arange(n_keys))}), path, row_group_size=100_000)
+    rng = np.random.default_rng(7)
+    ids = rng.integers(0, n_keys, rows)
+    ids[rng.random(rows) < 0.01] += n_keys  # orphans
+    child = ray.data.from_arrow(
+        pa.table({"id": np.arange(rows), "repo": keys(ids)})
+    ).repartition(4).materialize()
+    spec = {
+        "table": "t",
+        "row_ref": ["id"],
+        "columns": {},
+        "checks": [{"kind": "refint", "columns": ["repo"], "parent_table": "repos"}],
+    }
+
+    def once():
+        t0 = time.perf_counter()
+        res = pipeline.validate(child, spec, parents={"repos": ray.data.read_parquet(path)})
+        v, x = res.verdicts_table(), res.violations_table()
+        return time.perf_counter() - t0, digest(v) + "/" + digest(x)
+
+    once()  # warm-up: worker start and imports
+    for i in range(runs):
+        wall, out = once()
+        print(
+            f"run {i}: validate() with a {n_keys}-key Dataset parent, {rows} child rows:"
+            f" {wall:.2f} s  digest {out}",
+            flush=True,
+        )
+
+
 def ray_table(ds):
     """A Dataset's rows as one Arrow table."""
     import pyarrow as pa
@@ -153,6 +213,7 @@ def main() -> None:
     ap.add_argument("--runs", type=int, default=1)
     ap.add_argument("--num-cpus", type=int, default=2)
     ap.add_argument("--dump")
+    ap.add_argument("--parent-keys", type=int)
     a = ap.parse_args()
     if not a.keyed and not a.dir:
         ap.error("--dir is required without --keyed")
@@ -172,6 +233,10 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
     if a.keyed:
         keyed(a.rows or 20_000, a.runs)
+        ray.shutdown()
+        return
+    if a.parent_keys:
+        large_parent(a.dir, a.parent_keys, a.rows or 200_000, a.runs)
         ray.shutdown()
         return
     a.rows = a.rows or 100_000

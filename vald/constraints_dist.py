@@ -63,11 +63,11 @@ from .ir import ConstraintSet, DistCheck
 from . import drift
 from . import pipeline as P
 from .runtime import (
-    coalesce,
-    join_barrier,
+    barrier_nonempty,
     join_partitions,
     join_remote_args,
     keyed_exchange,
+    nonempty_blocks,
 )
 
 __all__ = [
@@ -465,7 +465,7 @@ def _first_per_bucket(buckets: np.ndarray, cap: int) -> np.ndarray:
 
 
 def fused_exchange(
-    raw: "ray.data.Dataset", dists: list[DistCheck]
+    raw: "ray.data.Dataset", dists: list[DistCheck], keep: Callable | None = None
 ) -> "ray.data.Dataset":
     """Fold every fused check in ``dists`` in ONE exchange
     (``runtime.keyed_exchange``) over the materialized EXT stream
@@ -478,7 +478,9 @@ def fused_exchange(
     call, and every fold is invariant to the bucket count. Every fused
     check of validate() goes through here; each fold returns builder
     parts (``pipeline.count_rows``/``violation_rows``) and a block's
-    parts become one ``pipeline.result_table``."""
+    parts become one ``pipeline.result_table``. ``keep`` is
+    ``keyed_exchange``'s: validate() passes its result projection, so
+    with one fold task the projection and the fold are one task."""
     by_cid = {d.constraint_id: d for d in dists}
     cid_arr = pa.array(list(by_cid), type=pa.string())
     cols = list(
@@ -507,7 +509,7 @@ def fused_exchange(
             out += FUSED_KINDS[d.kind].fold(g.slice(a, b - a), d)
         return P.result_table(out)
 
-    return keyed_exchange(raw, "ubucket", per_block, project)
+    return keyed_exchange(raw, "ubucket", per_block, project, keep)
 
 
 def _standalone(
@@ -566,11 +568,13 @@ def fused_refint_anti_results(
     column). Chosen automatically by ``validate()`` when the parent
     exceeds ``max_broadcast_keys``.
 
-    Plan: rkey partials → totals (verdict n_checked, no shuffle) and, in
-    parallel, a keyed exchange on ``ubucket`` sized like ``fused_exchange`` →
-    per-block distinct child keys →
-    hash-partitioned ``left_anti`` join against the parent's canonical
-    key strings → violation rows. The join moves distinct KEYS on both
+    Plan: the row pass counts the checked child rows (the verdicts'
+    n_checked), as on the broadcast route; the rkey partials go through
+    a keyed exchange on ``ubucket`` sized like ``fused_exchange`` →
+    per-block distinct child keys → hash-partitioned ``left_anti`` join
+    against the parent's canonical key strings (both sides
+    materialized first; with no non-NULL key on either side there is
+    no join) → violation rows. The join moves distinct KEYS on both
     sides, never child rows; skew on hot parents is bounded because the
     child side is already reduced to one row per distinct key.
     """
@@ -588,16 +592,6 @@ def fused_refint_anti_results(
             ["row_ref", "partition_id", "uh", "ubucket", "ucnt"]
         )
 
-    def totals(t: pa.Table) -> pa.Table:
-        # verdict n_checked partials straight from the (pre-distinct)
-        # partials — sums are exact, no shuffle needed
-        if len(t) == 0:
-            return P.result_table([])
-        n_checked = np.bincount(_np(t["partition_id"]), weights=_np(t["ucnt"]))
-        return P.result_table([P.count_rows(cid, n_checked, np.zeros_like(n_checked))])
-
-    totals_ds = coalesce(raw, project_rkey).map_batches(totals, batch_format="pyarrow")
-
     def distinct_child_keys(g: pa.Table) -> pa.Table:
         agg = g.group_by(["uh", "row_ref"], use_threads=False).aggregate(
             [("partition_id", "min"), ("ucnt", "sum")]
@@ -610,23 +604,25 @@ def fused_refint_anti_results(
     def parent_pre(t: pa.Table) -> pa.Table:
         # canonical parent key string, local distinct — the join's right
         # side moves one row per distinct parent key per block
-        joined = [pc.cast(t[c], pa.string()) for c in pcols]
-        ref = joined[0] if len(joined) == 1 else pc.binary_join_element_wise(*joined, KEY_SEP)
-        small = pa.table({"ref": ref}).drop_null()
+        small = pa.table({"ref": _joined(t, pcols)}).drop_null()
         return small.group_by("ref", use_threads=False).aggregate([])
 
-    parent_keys = parent.map_batches(
-        parent_pre, batch_format="pyarrow", zero_copy_batch=True
+    parent_keys, n_parent = barrier_nonempty(
+        parent.map_batches(parent_pre, batch_format="pyarrow", zero_copy_batch=True)
     )
-
-    # join_barrier: child_keys may be a sort output — see runtime.join_barrier
-    missing = join_barrier(child_keys).join(
-        parent_keys,
-        join_type="left_anti",
-        num_partitions=P_parts,
-        on=("ref",),
-        aggregator_ray_remote_args=join_remote_args(),
-    )
+    # the barrier: child_keys may be a sort output — see runtime.join_barrier
+    missing, n_child = barrier_nonempty(child_keys)
+    # a join with an all-empty side fails in Ray 2.49 (see
+    # runtime.barrier_nonempty), and its answer is known: without child
+    # keys nothing is missing, without parent keys every child key is
+    if n_child and n_parent:
+        missing = nonempty_blocks(missing).join(
+            nonempty_blocks(parent_keys),
+            join_type="left_anti",
+            num_partitions=P_parts,
+            on=("ref",),
+            aggregator_ray_remote_args=join_remote_args(),
+        )
 
     def missing_rows(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -647,7 +643,7 @@ def fused_refint_anti_results(
             ]
         )
 
-    return totals_ds.union(missing.map_batches(missing_rows, batch_format="pyarrow"))
+    return missing.map_batches(missing_rows, batch_format="pyarrow")
 
 
 def quantile_bounds_check_results(

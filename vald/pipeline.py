@@ -16,8 +16,14 @@ Execution shape (Ray-Data-first, BASELINE.json north_rule):
   materialized and feeds every later stage.
 - ONE keyed exchange on ``ubucket`` folds all fused kinds together
   (constraints_dist.fused_exchange), one fold call per check per
-  sorted block. The large-parent refint anti-join runs its own
-  exchange over the same materialized stream.
+  sorted block; it also projects the stream's result rows, in the
+  same task as the fold when it has one fold task. The large-parent
+  refint anti-join runs its own exchange over the same materialized
+  stream.
+- Small refint parents are broadcast: ``runtime.key_set`` builds each
+  parent's distinct, NULL-free keys as one Arrow array in one Ray task
+  in the cluster (a Dataset parent runs only its own read plan), and
+  the row pass tests membership with ``pc.is_in``.
 - drift, group_drift, freshness, monotonic, reconcile and
   quantile_bounds still read the input themselves (their own pruned
   pass) and UNION their result rows into the same schema. Monotonic
@@ -35,9 +41,9 @@ Execution shape (Ray-Data-first, BASELINE.json north_rule):
   tiny partial rows; sums are commutative+associative so verdicts are
   identical at any parallelism (SURVEY.md §4.3 determinism).
 
-Stateful setup (compiled regexes, broadcast parent-key sets) happens
-once per worker process in ``RowValidator.__init__`` (B7), cached by
-``_TaskValidator``.
+Stateful setup (compiled regexes, fetching the broadcast parent-key
+arrays) happens once per worker process in ``RowValidator.__init__``
+(B7), cached by ``_TaskValidator``.
 """
 
 from __future__ import annotations
@@ -391,27 +397,23 @@ class RowValidator:
 
         self.fused = [d for d in self.cs.dist_checks if d.kind in FUSED_KINDS]
         # broadcast small-side key sets for refint (B5 broadcast fallback):
-        # ray.put once on the driver, ray.get once per actor/worker here.
-        # Keys are prebuilt as Arrow arrays so the per-batch membership
-        # test is a vectorized pc.is_in — no per-row Python objects
-        # (this VM's allocator makes object churn very expensive).
+        # runtime.key_set builds each as an Arrow array in the cluster
+        # (one Ray task for a Dataset parent), fetched once per worker
+        # here; the per-batch membership test is a vectorized pc.is_in
+        # against it — no per-row Python objects.
         self.key_arrays: dict[str, pa.Array] = {}
         # bloom-screen refint (opt-in): parent keys as a Bloom filter —
         # 2 B/key broadcast vs 8+ B/key exact; one-sided error (an
         # orphan child passes with prob = filter FPR), see validate()
         self.bloom_filters: dict[str, object] = {}
-        from .hashing import KEY_SEP
         from .ops.decontam import BloomFilter
 
         for cid, ref in (broadcast_refs or {}).items():
             obj = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
             if isinstance(obj, BloomFilter):
                 self.bloom_filters[cid] = obj
-                continue
-            vals = list(obj)
-            if vals and isinstance(vals[0], tuple):
-                vals = [KEY_SEP.join(map(str, v)) for v in vals]
-            self.key_arrays[cid] = pa.array(vals)
+            else:
+                self.key_arrays[cid] = obj if isinstance(obj, pa.Array) else pa.array(list(obj))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cs = self.cs
@@ -451,23 +453,24 @@ class RowValidator:
 
         # broadcast refint (B5): vectorized membership (pc.is_in)
         # against the actor-held Arrow key array — zero Python objects.
-        # Large-parent refint checks (self.refint_fused) skip this and
-        # emit key partials below instead.
+        # Large-parent refint checks (self.refint_fused) only count
+        # their checked rows here and emit key partials below; their
+        # orphans are found by the anti-join.
         for dist in cs.dist_checks:
             if dist.kind != "refint" or (
                 dist.constraint_id not in self.key_arrays
                 and dist.constraint_id not in self.bloom_filters
+                and dist.constraint_id not in self.refint_fused
             ):
                 continue
             cols = dist.params["columns"]
-            if len(cols) == 1:
-                keycol = batch[cols[0]]
-            else:
-                from .hashing import KEY_SEP as _SEP
-
-                joined = [pc.cast(batch[c], pa.string()) for c in cols]
-                keycol = pc.binary_join_element_wise(*joined, _SEP)
-            checked_pa = pc.is_valid(keycol)
+            keycol = key_column(batch, cols)
+            checked = np.asarray(
+                pc.is_valid(keycol).to_numpy(zero_copy_only=False), dtype=bool
+            )
+            if dist.constraint_id in self.refint_fused:
+                emit_partials(dist.constraint_id, checked, np.zeros_like(checked))
+                continue
             if dist.constraint_id in self.bloom_filters:
                 # bloom screen: a miss is a DEFINITE orphan; an FP
                 # (≈4e-4) lets an orphan pass — violations are a
@@ -482,9 +485,6 @@ class RowValidator:
                 if value_set.type != keycol.type:
                     value_set = value_set.cast(keycol.type)
                 ok_pa = pc.is_in(keycol, value_set=value_set)
-            checked = np.asarray(
-                checked_pa.to_numpy(zero_copy_only=False), dtype=bool
-            )
             bad = checked & ~np.asarray(
                 pc.fill_null(ok_pa, False).to_numpy(zero_copy_only=False), dtype=bool
             )
@@ -758,8 +758,8 @@ class _TaskValidator:
 from .runtime import (  # noqa: E402
     DEFAULT_MAX_BROADCAST_KEYS,
     coalesce,
-    distinct_keys,
-    local_distinct_keys,
+    key_column,
+    key_set,
 )
 
 
@@ -847,14 +847,21 @@ def validate(
     The planner picks the B5 execution path per check:
 
     - small parents (≤ ``max_broadcast_keys`` rows, default 2M) are
-      broadcast via ``ray.put`` — distinct, NULL-free keys
-      (runtime.distinct_keys), computed distributed first — and checked with a vectorized ``pc.is_in`` inside the
-      fused row pass (no shuffle);
+      broadcast: ``runtime.key_set`` builds their distinct, NULL-free
+      keys as one Arrow array in one Ray task in the cluster (a Table
+      or list parent is reduced on the driver and ``ray.put``), and
+      the fused row pass checks them with a vectorized ``pc.is_in``
+      (no shuffle); the driver waits for that task but never holds
+      the keys;
     - large parents route through the fused anti-join path: the row pass
       emits pre-aggregated child-key partials inline (no second input
       read) and a hash-partitioned ``left_anti`` join against the parent
       keys finds the orphans (constraints_dist.fused_refint_anti_results).
     - ``params["strategy"]`` forces "broadcast" or "anti_join".
+
+    With one fused kind or more, the result projection of the row
+    pass's stream runs in the fused exchange: with one fold task, the
+    projection and the fold are one task.
     """
     cs = spec if isinstance(spec, ConstraintSet) else compile_table_spec(spec)
 
@@ -897,27 +904,21 @@ def validate(
             )
             broadcast_refs[cid] = ray.put(bloom)
             continue
-        if isinstance(src, pa.Table):
-            if strategy == "anti_join" or (strategy == "auto" and len(src) > threshold):
-                anti_parents[cid] = ray.data.from_arrow(src.select(pcols))
-                refint_fused[cid] = list(dist.params["columns"])
-                continue
-            keys_t = distinct_keys(src, pcols)
-        else:  # Dataset
-            # src.count() is parquet metadata for file-backed parents;
-            # for computed parents it executes the (parent) pipeline once.
-            if strategy == "anti_join" or (
-                strategy == "auto" and src.count() > threshold
-            ):
-                anti_parents[cid] = src
-                refint_fused[cid] = list(dist.params["columns"])
-                continue
-            keys_t = distinct_keys(local_distinct_keys(src, pcols), pcols)
-        if len(pcols) == 1:
-            keys = set(keys_t[pcols[0]].to_pylist())
-        else:
-            keys = set(zip(*(keys_t[c].to_pylist() for c in pcols)))
-        broadcast_refs[cid] = ray.put(keys)
+        # a Dataset's count() is parquet metadata for file-backed
+        # parents; for computed parents it executes the parent once
+        is_table = isinstance(src, pa.Table)
+        if strategy == "anti_join" or (
+            strategy == "auto" and (len(src) if is_table else src.count()) > threshold
+        ):
+            anti_parents[cid] = ray.data.from_arrow(src.select(pcols)) if is_table else src
+            refint_fused[cid] = list(dist.params["columns"])
+            continue
+        broadcast_refs[cid] = key_set(src, pcols)
+    if broadcast_refs:
+        # key sets are built in the cluster: wait for them, without
+        # fetching them here, so no row-pass task holds a CPU meanwhile
+        refs = list(broadcast_refs.values())
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
 
     # --- distributed checks union into the same result stream ---
     # The fused kinds and fused refint consume the partials the row pass
@@ -944,11 +945,14 @@ def validate(
     )
     if partials:
         raw = raw.materialize()
+    if fused:
+        # the result projection rides the exchange: one task with the
+        # fold when the exchange has one fold task
+        combined = cd.fused_exchange(raw, fused, keep=_project_res)
+    elif partials:
         combined = coalesce(raw, _project_res)
     else:
         combined = raw
-    if fused:
-        combined = combined.union(cd.fused_exchange(raw, fused))
     for dist in cs.dist_checks:
         if dist.constraint_id in anti_parents:
             combined = combined.union(

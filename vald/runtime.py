@@ -21,14 +21,19 @@ __all__ = [
     "compact_strings",
     "nonempty_blocks",
     "augment_by_key",
+    "key_column",
+    "key_set",
     "DEFAULT_MAX_BROADCAST_KEYS",
 ]
 
-# Key sets larger than this never ride a driver-side ``ray.put``
-# broadcast: membership routes through a hash-partitioned semi/anti
-# join instead (the B5 planner rule, shared by validate() and every
-# catalog query). 2M int64 keys ~= 16 MB broadcast object — cheap to
-# ship once per node, safely below worker-heap concerns.
+# Key sets larger than this are never broadcast: membership routes
+# through a hash-partitioned semi/anti join instead (the B5 planner
+# rule, shared by validate() and every catalog query). validate()'s
+# refint builds a smaller key set in one Ray task in the cluster
+# (``key_set``); ``broadcast_or_semijoin`` and ``guarded_broadcast``
+# build theirs on the driver and ``ray.put`` it. 2M int64 keys ~= 16 MB
+# broadcast object — cheap to ship once per node, safely below
+# worker-heap concerns.
 DEFAULT_MAX_BROADCAST_KEYS = 2_000_000
 
 
@@ -225,6 +230,61 @@ def _as_key_array(keys, keys_on: str):
     return pc.unique(pc.drop_null(arr.combine_chunks()))
 
 
+def key_column(t: "pa.Table", cols: "list[str]"):
+    """One key per row of ``t``: a single key column as itself, several
+    as their ``pc.cast(string)`` values joined with ``KEY_SEP``. A NULL
+    in any part makes the key NULL. Child and parent keys of refint's
+    broadcast route are both built here, so they compare alike."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from .hashing import KEY_SEP
+
+    if len(cols) == 1:
+        return t[cols[0]]
+    return pc.binary_join_element_wise(*[pc.cast(t[c], pa.string()) for c in cols], KEY_SEP)
+
+
+def _distinct_key_array(tables, cols: "list[str]") -> "pa.Array":
+    """The distinct, NULL-free ``key_column`` values of ``tables``. A
+    key with a NULL part matches nothing, as in a join, so it is
+    dropped rather than turned into a string that a child value could
+    equal. Empty tables are skipped: Ray may hand them over without
+    columns."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    tables = [t.select(cols) for t in tables if t.num_rows]
+    if not tables:
+        return pa.array([], type=pa.null() if len(cols) == 1 else pa.string())
+    keys = key_column(pa.concat_tables(tables, promote_options="default"), cols)
+    return pc.unique(pc.drop_null(keys))
+
+
+@ray.remote
+def _key_set_task(cols: "list[str]", *blocks) -> "pa.Array":
+    from ray.data.block import BlockAccessor
+
+    return _distinct_key_array([BlockAccessor.for_block(b).to_arrow() for b in blocks], cols)
+
+
+def key_set(src, cols: "list[str]") -> "ray.ObjectRef":
+    """The parent-key set of refint's broadcast route, as an object ref
+    to a ``pa.Array`` of distinct, NULL-free keys (``key_column``: one
+    key column keeps its type, several become ``KEY_SEP``-joined
+    strings). A Table parent is reduced here and ``ray.put``. A Dataset
+    parent runs its own plan once, with no operator appended, and one
+    Ray task reduces its blocks: the keys are built in the cluster and
+    never reach the driver. (``to_arrow_refs`` would run a computed
+    parent's plan a second time, for its schema.)"""
+    import pyarrow as pa
+
+    if isinstance(src, pa.Table):
+        return ray.put(_distinct_key_array([src], cols))
+    blocks = [ref for bundle in src.iter_internal_ref_bundles() for ref, _ in bundle.blocks]
+    return _key_set_task.remote(cols, *blocks)
+
+
 def local_distinct_keys(keys_ds, cols: "str | list[str]"):
     """Per-block distinct, NULL-free rows of ``cols``, materialized.
 
@@ -242,11 +302,11 @@ def local_distinct_keys(keys_ds, cols: "str | list[str]"):
 
 
 def distinct_keys(keys, cols: "str | list[str]") -> "pa.Table":
-    """Distinct, NULL-free rows of ``cols``: the parent-key set of every
-    membership route (validate()'s refint broadcast,
-    ``broadcast_or_semijoin``, ``guarded_broadcast``). A key with a NULL
-    part matches nothing, as in a join, so it is dropped here rather
-    than turned into a string that a child value could equal.
+    """Distinct, NULL-free rows of ``cols``: the key set of
+    ``broadcast_or_semijoin`` and ``guarded_broadcast`` (validate()'s
+    refint uses ``key_set``). A key with a NULL part matches nothing,
+    as in a join, so it is dropped here rather than turned into a
+    string that a child value could equal.
 
     ``keys`` is an Arrow table, or a Dataset reduced by
     ``local_distinct_keys``: only its per-block distinct rows reach the
@@ -665,7 +725,9 @@ def map_sized(ds: "ray.data.Dataset", fn) -> "ray.data.Dataset":
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def keyed_exchange(parts, bucket_col: str, fold, project=None) -> "ray.data.Dataset":
+def keyed_exchange(
+    parts, bucket_col: str, fold, project=None, keep=None
+) -> "ray.data.Dataset":
     """The keyed exchange: ``parts``, mapped by ``project`` if given
     (its output holds the int bucket column ``bucket_col``), is
     coalesced into ``k = fold_tasks`` blocks sized from its row count;
@@ -680,21 +742,31 @@ def keyed_exchange(parts, bucket_col: str, fold, project=None) -> "ray.data.Data
     materialized, to count it. A bucket never spans two blocks (what
     ``groupby().map_groups`` gives, without its per-bucket split or its
     one partition per input block), so a fold that is invariant to the
-    bucket count sees every row of its keys at once."""
+    bucket count sees every row of its keys at once.
+
+    ``keep`` (a materialized ``parts`` only) maps the rows that bypass
+    the fold into the output too, in the fold's schema: at ``k == 1``
+    in the same task as the fold, else in the coalesced bundles, in a
+    union with the fold's output."""
+    import pyarrow as pa
     from ray.data.dataset import MaterializedDataset
 
     project = project or (lambda t: t)
     if not isinstance(parts, MaterializedDataset):
+        if keep is not None:
+            raise ValueError("keyed_exchange: keep needs a materialized parts")
         parts, project = map_sized(parts, project).materialize(), (lambda t: t)
     k = fold_tasks(parts.count())
     if k > 1:
-        return (
+        folded = (
             coalesce(parts, project, k)
             .sort(bucket_col)
             .map_batches(fold, batch_format="pyarrow", batch_size=None)
         )
+        return folded if keep is None else coalesce(parts, keep).union(folded)
 
     def project_sort_fold(t):
-        return fold(project(t).sort_by(bucket_col))
+        out = fold(project(t).sort_by(bucket_col))
+        return out if keep is None else pa.concat_tables([keep(t), out])
 
     return coalesce(parts, project_sort_fold, 1)
