@@ -91,3 +91,35 @@ def test_eval_compare_cross_field():
     t = pa.table({"text": ["abc", "defg", None], "n": [3, 3, 5]})
     ok = K.eval_compare(t, {"fn": "length", "column": "text"}, {"column": "n"}, "==")
     assert ok.tolist() == [True, False, True]  # null operand passes
+
+
+def test_stable_hash64_of_strings_equals_the_pylist_path():
+    """``stable_hash64`` converts string and binary columns with
+    ``to_numpy``; the hashes equal those of the ``to_pylist`` objects
+    it used before, NULL and NUL-containing values included, so
+    partition ids and violation rows do not move."""
+    import pandas as pd
+
+    from vald.hashing import partition_ids, stable_hash64
+
+    vals = ["a", "", None, "a\x00b", "a\x00c", "héllo", "x\x1fy", "a"]
+
+    def old(values):
+        objs = np.asarray(values.to_pylist(), dtype=object)
+        return pd.util.hash_array(objs, categorize=False)
+
+    for typ in (pa.string(), pa.large_string(), pa.binary(), pa.large_binary()):
+        a = pa.array(
+            [v.encode() if v is not None and "binary" in str(typ) else v for v in vals],
+            type=typ,
+        )
+        for col in (a, a.slice(2, 4), pa.chunked_array([a.slice(0, 3), a.slice(3)])):
+            got = stable_hash64(col)
+            assert got.dtype == np.uint64
+            np.testing.assert_array_equal(got, old(col))
+            np.testing.assert_array_equal(
+                partition_ids(col, 7), (old(col) % np.uint64(7)).astype(np.int32)
+            )
+    # other types keep to_pylist: an int column with a NULL stays ints
+    ints = pa.array([1, None, 3], pa.int64())
+    np.testing.assert_array_equal(stable_hash64(ints), old(ints))

@@ -13,12 +13,13 @@ Writes ``vald.corpus.write_corpus(DIR/corpus-n<rows>, rows)`` on the first
 call (later calls reuse it), then starts a Ray session with ``--num-cpus``
 CPUs and runs ``validate()`` on ``CORPUS_SPEC`` (``--extra`` adds a
 completeness, a cardinality and an fd check) ``--runs`` times after one
-untimed warm-up. Each run is timed in two parts: ``validate(...,
-materialize=False)`` returns once the read and the row pass are done (it
-materializes the row pass's stream), and ``combined.materialize()`` then
-runs the exchanges and folds. It prints both per run, then every operator
-line of the last run's public ``Dataset.stats()`` (the read's line gives
-its block count) with the operator's summed task busy time. ``--dump``
+untimed warm-up. Each run times ``validate()`` plus ``verdicts_table()``
+and ``violations_table()`` as one number, as ``vald run`` and the
+benchmark run them. Then, untimed, it prints every operator line of the
+last run's public ``combined.stats()`` (the read's line gives its block
+count) with the operator's summed task busy time; with one fold task
+that reads ``combined``, which builds and runs the exchange's task only
+then. ``--dump``
 writes the sorted verdict and violation rows to PREFIX.verdicts.parquet
 and PREFIX.violations.parquet, to compare two checkouts.
 
@@ -250,25 +251,17 @@ def main() -> None:
         ds = sources.read_source(files, format="parquet")
         parent = ray.data.read_parquet(os.path.join(d, "repos.parquet"))
         t0 = time.perf_counter()
-        res = pipeline.validate(ds, spec, parents={"repos": parent}, materialize=False)
-        t1 = time.perf_counter()
-        res.combined = res.combined.materialize()
-        return res, t1 - t0, time.perf_counter() - t1
+        res = pipeline.validate(ds, spec, parents={"repos": parent})
+        v, x = res.verdicts_table(), res.violations_table()
+        return res, v, x, time.perf_counter() - t0
 
     once()  # warm-up: worker start and imports
     for i in range(a.runs):
-        res, rowpass, exchange = once()
-        wall = rowpass + exchange
-        print(
-            f"run {i}: validate() {wall:.2f} s = read + row pass {rowpass:.2f} s"
-            f" + exchanges and folds {exchange:.2f} s ({exchange / wall:.0%})",
-            flush=True,
-        )
+        res, v, x, wall = once()
+        print(f"run {i}: validate() + tables {wall:.2f} s", flush=True)
     for _, busy, line in operator_busy(res.combined.stats()):
         print(f"{line}  [busy {busy:.2f} s]")
     if a.dump:
-        v = res.verdicts_table()
-        x = res.violations_table()
         pq.write_table(v.sort_by([(c, "ascending") for c in v.column_names]), a.dump + ".verdicts.parquet")
         pq.write_table(x.sort_by([(c, "ascending") for c in x.column_names]), a.dump + ".violations.parquet")
     ray.shutdown()

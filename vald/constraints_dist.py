@@ -68,12 +68,14 @@ from .runtime import (
     join_remote_args,
     keyed_exchange,
     nonempty_blocks,
+    sort_fold,
 )
 
 __all__ = [
     "FUSED_KINDS",
     "OWN_PASS_KINDS",
     "fused_exchange",
+    "fused_fold",
     "fused_refint_anti_results",
     "fd_check_results",
     "monotonic_check_results",
@@ -476,11 +478,27 @@ def fused_exchange(
     % the check's ``num_buckets``; one bucket per completeness check),
     so every key, determinant or group is decided in exactly one fold
     call, and every fold is invariant to the bucket count. Every fused
-    check of validate() goes through here; each fold returns builder
-    parts (``pipeline.count_rows``/``violation_rows``) and a block's
-    parts become one ``pipeline.result_table``. ``keep`` is
-    ``keyed_exchange``'s: validate() passes its result projection, so
-    with one fold task the projection and the fold are one task."""
+    check of validate() goes through here or through ``fused_fold``;
+    each fold returns builder parts (``pipeline.count_rows``/
+    ``violation_rows``) and a block's parts become one
+    ``pipeline.result_table``. ``keep`` is ``keyed_exchange``'s:
+    validate() passes its result projection, so with one fold task the
+    projection and the fold are one task."""
+    return keyed_exchange(raw, "ubucket", *_fused_fold_parts(dists), keep)
+
+
+def fused_fold(dists: list[DistCheck], keep: Callable | None = None) -> Callable:
+    """``fused_exchange`` with one fold task as a function of the whole
+    EXT stream in one table (``runtime.sort_fold``): what validate()'s
+    result runs on the driver when the stream is that small."""
+    return sort_fold("ubucket", *_fused_fold_parts(dists), keep)
+
+
+def _fused_fold_parts(dists: list[DistCheck]) -> tuple[Callable, Callable]:
+    """The fused exchange's ``(fold, project)``: ``project`` keeps the
+    partial rows of ``dists`` and the columns their folds read; the
+    fold splits a sorted block by constraint_id and folds each run by
+    its kind."""
     by_cid = {d.constraint_id: d for d in dists}
     cid_arr = pa.array(list(by_cid), type=pa.string())
     cols = list(
@@ -509,7 +527,7 @@ def fused_exchange(
             out += FUSED_KINDS[d.kind].fold(g.slice(a, b - a), d)
         return P.result_table(out)
 
-    return keyed_exchange(raw, "ubucket", per_block, project, keep)
+    return per_block, project
 
 
 def _standalone(

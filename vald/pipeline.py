@@ -17,9 +17,10 @@ Execution shape (Ray-Data-first, BASELINE.json north_rule):
 - ONE keyed exchange on ``ubucket`` folds all fused kinds together
   (constraints_dist.fused_exchange), one fold call per check per
   sorted block; it also projects the stream's result rows, in the
-  same task as the fold when it has one fold task. The large-parent
-  refint anti-join runs its own exchange over the same materialized
-  stream.
+  same task as the fold when it has one fold task. That one task runs
+  on the driver, when the result is read (``ValidationResult``), not
+  as a Ray Data execution. The large-parent refint anti-join runs its
+  own exchange over the same materialized stream.
 - Small refint parents are broadcast: ``runtime.key_set`` builds each
   parent's distinct, NULL-free keys as one Arrow array in one Ray task
   in the cluster (a Dataset parent runs only its own read plan), and
@@ -49,7 +50,6 @@ arrays) happens once per worker process in ``RowValidator.__init__``
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -558,18 +558,18 @@ def stamp(
 
 # Above this many result rows the fold stays distributed (groupby on
 # the cluster); below it the result stream is pulled to the driver and
-# folded with pyarrow (milliseconds vs a full shuffle round-trip).
+# folded with pyarrow (milliseconds vs a full shuffle round-trip). By
+# the same rule, a fused exchange with one fold task (a stream of at
+# most runtime.ROWS_PER_FOLD_TASK rows) runs on the driver when the
+# result is read, not as a Ray Data execution of that one task: on the
+# benchmark's 2k-row corpus its function takes ~6 ms, the execution
+# ~50 ms (4 CPUs visible, Ray num_cpus=2).
 LOCAL_FOLD_MAX_ROWS = 2_000_000
 
 
-def _fold_verdicts_local(t: pa.Table) -> pa.Table:
-    partials = t.filter(pc.invert(t["is_violation"]))
-    agg = (
-        partials.select(["partition_id", "constraint_id", "n_checked", "n_violations"])
-        .group_by(["partition_id", "constraint_id"], use_threads=False)
-        .aggregate([("n_checked", "sum"), ("n_violations", "sum")])
-        .rename_columns(["partition_id", "constraint_id", "n_checked", "n_violations"])
-    )
+def _verdicts_of(agg: pa.Table) -> pa.Table:
+    """VERDICT_SCHEMA rows from summed partials (``partition_id``,
+    ``constraint_id``, ``n_checked``, ``n_violations``)."""
     nv = agg["n_violations"]
     metrics = [
         json.dumps({"n_checked": c, "n_violations": v})
@@ -578,9 +578,7 @@ def _fold_verdicts_local(t: pa.Table) -> pa.Table:
     return pa.Table.from_arrays(
         [
             pc.cast(agg["partition_id"], pa.int32()),
-            agg["constraint_id"].combine_chunks()
-            if isinstance(agg["constraint_id"], pa.ChunkedArray)
-            else agg["constraint_id"],
+            agg["constraint_id"],
             pc.equal(nv, pa.scalar(0)),
             pc.cast(agg["n_checked"], pa.int64()),
             pc.cast(nv, pa.int64()),
@@ -590,29 +588,102 @@ def _fold_verdicts_local(t: pa.Table) -> pa.Table:
     )
 
 
-@dataclass
+def _fold_verdicts_local(t: pa.Table) -> pa.Table:
+    partials = t.filter(pc.invert(t["is_violation"]))
+    return _verdicts_of(
+        partials.select(["partition_id", "constraint_id", "n_checked", "n_violations"])
+        .group_by(["partition_id", "constraint_id"], use_threads=False)
+        .aggregate([("n_checked", "sum"), ("n_violations", "sum")])
+        .rename_columns(["partition_id", "constraint_id", "n_checked", "n_violations"])
+    )
+
+
+def _blocks(ds: "ray.data.Dataset") -> list[pa.Table]:
+    """The non-empty blocks of the materialized ``ds`` as Arrow tables,
+    fetched by ref in block order: no Ray Data execution, not even the
+    one ``to_arrow_refs`` runs for the schema of an all-empty ``ds``."""
+    from ray.data.block import BlockAccessor
+
+    refs = [r for b in ds.iter_internal_ref_bundles() for r, m in b.blocks if m.num_rows != 0]
+    return [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+
+
+def _zero_verdicts(checks: list[str], seen) -> pa.Table:
+    """A zero verdict partial (partition 0, nothing checked, no
+    violation) for each id in ``checks`` that is not in ``seen``."""
+    zero = np.zeros(1, dtype=np.int64)
+    return result_table(
+        [count_rows(c, zero, zero, keep_empty=True) for c in checks if c not in seen]
+    )
+
+
 class ValidationResult:
     """Both outputs derive from one (small) result stream.
 
     The stream is bounded by design: O(batches × constraints ×
     partitions-per-batch) verdict partials plus per-batch-capped
     violation exemplars — it is NOT proportional to input rows. Small
-    streams fold on the driver; huge ones fold distributed."""
+    streams fold on the driver; huge ones fold distributed.
 
-    combined: "ray.data.Dataset"
-    _local: pa.Table | None = None
+    ``combined`` is the stream as a materialized Dataset. When the row
+    pass's stream is small enough for one fold task, validate() runs
+    neither the fused exchange nor the result projection: the table
+    API fetches the row pass's blocks and runs that one task's function
+    (``runtime.sort_fold``) on the driver, after which it adds the
+    other parts' rows. ``combined`` is then built on first access: the
+    same plan as when validate() builds it (the row pass, one
+    ``MapBatches(project_sort_fold)``, in a union with the other
+    parts), materialized once, with the same ``stats()``.
+
+    Every row check, refint check with a parent and fused check gets
+    a verdict: one with no verdict partial, because no row reached its
+    partial, gets a zero one at partition 0 (nothing checked, no
+    violation). A 0-row input gives none of them a partial, since Ray
+    calls no map on an empty block. The kinds with a pass of their own
+    (constraints_dist.OWN_PASS_KINDS) are left as they are: drift
+    reports under per-column ids, so a missing id does not mean an
+    empty input."""
+
+    def __init__(
+        self,
+        checks: list[str],
+        combined: "ray.data.Dataset | None" = None,
+        *,
+        plan=None,
+        raw: "ray.data.Dataset | None" = None,
+        fold=None,
+        rest: "list[ray.data.Dataset]" = (),
+    ):
+        self._checks = checks
+        self._combined = combined
+        # without ``combined``: ``plan()`` builds it; ``fold`` maps the
+        # materialized row-pass stream ``raw``, as one table, to its
+        # result rows, and ``rest`` holds the other parts, materialized
+        self._plan, self._raw, self._fold, self._rest = plan, raw, fold, list(rest)
+        self._local: pa.Table | None = None
+
+    @property
+    def combined(self) -> "ray.data.Dataset":
+        if self._combined is None:
+            self._combined = self._plan().materialize()
+        return self._combined
 
     def _local_table(self) -> pa.Table | None:
         if self._local is None:
-            cnt = self.combined.count()
-            if cnt <= LOCAL_FOLD_MAX_ROWS:
-                parts = ray.get(self.combined.to_arrow_refs())
-                parts = [p for p in parts if len(p)]
-                self._local = (
-                    pa.concat_tables(parts).combine_chunks()
-                    if parts
-                    else result_table([])
-                )
+            if self._combined is not None:
+                if self._combined.count() > LOCAL_FOLD_MAX_ROWS:
+                    return None
+                parts = _blocks(self._combined)
+            elif sum(d.count() for d in [self._raw, *self._rest]) > LOCAL_FOLD_MAX_ROWS:
+                return None
+            else:
+                raw = _blocks(self._raw)
+                parts = [self._fold(pa.concat_tables(raw) if raw else ext_table([]))]
+                parts += [b for d in self._rest for b in _blocks(d)]
+            t = pa.concat_tables(parts).combine_chunks() if parts else result_table([])
+            seen = pc.unique(t.filter(pc.invert(t["is_violation"]))["constraint_id"])
+            zero = _zero_verdicts(self._checks, set(seen.to_pylist()))
+            self._local = pa.concat_tables([t, zero]) if len(zero) else t
         return self._local
 
     # --- Dataset-returning API (distributed path) ---
@@ -641,26 +712,7 @@ class ValidationResult:
             Sum("n_checked", alias_name="n_checked"),
             Sum("n_violations", alias_name="n_violations"),
         )
-
-        def _finish(t: pa.Table) -> pa.Table:
-            nv = t["n_violations"]
-            metrics = [
-                json.dumps({"n_checked": c, "n_violations": v})
-                for c, v in zip(t["n_checked"].to_pylist(), nv.to_pylist())
-            ]
-            return pa.Table.from_arrays(
-                [
-                    pc.cast(t["partition_id"], pa.int32()),
-                    t["constraint_id"],
-                    pc.equal(nv, pa.scalar(0)),
-                    pc.cast(t["n_checked"], pa.int64()),
-                    pc.cast(nv, pa.int64()),
-                    pa.array(metrics, type=pa.string()),
-                ],
-                schema=VERDICT_SCHEMA,
-            )
-
-        return agg.map_batches(_finish, batch_format="pyarrow")
+        return agg.map_batches(_verdicts_of, batch_format="pyarrow")
 
     # --- local (Arrow table) API ---
     @staticmethod
@@ -688,6 +740,8 @@ class ValidationResult:
             t = _fold_verdicts_local(local)
         else:
             t = pa.Table.from_pandas(self.verdicts().to_pandas(), preserve_index=False)
+            zero = _zero_verdicts(self._checks, set(t["constraint_id"].to_pylist()))
+            t = pa.concat_tables([t.cast(VERDICT_SCHEMA), _fold_verdicts_local(zero)])
         if len(t) == 0:
             return t
         return t.sort_by(
@@ -755,6 +809,7 @@ class _TaskValidator:
 # force a path with params["strategy"] = "broadcast" | "anti_join".
 # One shared constant: catalog queries inherit the same guard through
 # runtime.broadcast_or_semijoin / runtime.guarded_broadcast.
+from . import runtime  # noqa: E402
 from .runtime import (  # noqa: E402
     DEFAULT_MAX_BROADCAST_KEYS,
     coalesce,
@@ -816,8 +871,6 @@ def validate(
     *,
     parents: dict[str, "ray.data.Dataset | pa.Table | list"] | None = None,
     batch_size: int | None = DEFAULT_BATCH_SIZE,
-    materialize: bool = True,
-    out_dir: str | None = None,
 ) -> ValidationResult:
     """Run the full ConstraintSet against a Dataset.
 
@@ -860,8 +913,15 @@ def validate(
     - ``params["strategy"]`` forces "broadcast" or "anti_join".
 
     With one fused kind or more, the result projection of the row
-    pass's stream runs in the fused exchange: with one fold task, the
-    projection and the fold are one task.
+    pass's stream runs in the fused exchange. When that exchange (or,
+    with large-parent refint alone, the projection) would have one fold
+    task, validate() runs no Ray Data execution for it: the returned
+    ``ValidationResult`` fetches the row pass's blocks and runs the
+    task's function on the driver when a table is read, and builds its
+    ``combined`` Dataset only when that is read. Everything else (an
+    exchange with more fold tasks, the anti-join, the kinds with their
+    own pass and the schema congruence rows) runs before validate()
+    returns.
     """
     cs = spec if isinstance(spec, ConstraintSet) else compile_table_spec(spec)
 
@@ -945,38 +1005,44 @@ def validate(
     )
     if partials:
         raw = raw.materialize()
-    if fused:
-        # the result projection rides the exchange: one task with the
-        # fold when the exchange has one fold task
-        combined = cd.fused_exchange(raw, fused, keep=_project_res)
-    elif partials:
-        combined = coalesce(raw, _project_res)
-    else:
-        combined = raw
+    rest = []
     for dist in cs.dist_checks:
         if dist.constraint_id in anti_parents:
-            combined = combined.union(
-                cd.fused_refint_anti_results(
-                    raw, anti_parents[dist.constraint_id], cs, dist
-                )
+            rest.append(
+                cd.fused_refint_anti_results(raw, anti_parents[dist.constraint_id], cs, dist)
             )
         elif dist.kind in cd.OWN_PASS_KINDS:
             # kinds that still read the input themselves (own pruned pass)
-            combined = combined.union(
-                cd.OWN_PASS_KINDS[dist.kind](ds, cs, dist, parents)
-            )
-
+            rest.append(cd.OWN_PASS_KINDS[dist.kind](ds, cs, dist, parents))
     # A11 schema congruence: plan-time, driver-side (ds.schema() is
     # metadata — no data pass)
     if cs.declared_schema is not None:
-        observed = ds.schema().base_schema
-        combined = combined.union(
-            ray.data.from_arrow(schema_congruence_rows(observed, cs))
-        )
+        rest.append(ray.data.from_arrow(schema_congruence_rows(ds.schema().base_schema, cs)))
+    # the checks decided from the row pass's partials (a refint check
+    # without a parent does not run): one with no partial saw no row
+    checks = [c.constraint_id for c in cs.row_checks] + [
+        d.constraint_id
+        for d in cs.dist_checks
+        if d.kind in cd.FUSED_KINDS or d.constraint_id in broadcast_refs.keys() | refint_fused.keys()
+    ]
 
-    if out_dir is not None:
-        combined.write_parquet(out_dir + "/_results")
-        combined = ray.data.read_parquet(out_dir + "/_results")
-    elif materialize:
-        combined = combined.materialize()
-    return ValidationResult(combined)
+    def union(head: "ray.data.Dataset", parts: list) -> "ray.data.Dataset":
+        return head.union(*parts) if parts else head
+
+    if not partials:
+        return ValidationResult(checks, union(raw, rest).materialize())
+    if fused:
+        # the result projection rides the exchange: one task with the
+        # fold when the exchange has one fold task
+        stream = lambda: cd.fused_exchange(raw, fused, keep=_project_res)  # noqa: E731
+        fold = cd.fused_fold(fused, keep=_project_res)
+    else:
+        stream, fold = (lambda: coalesce(raw, _project_res)), _project_res  # noqa: E731
+    if runtime.fold_tasks(raw.count()) > 1:
+        return ValidationResult(checks, union(stream(), rest).materialize())
+    # one fold task: it runs on the driver when the result is read, and
+    # the other parts run here, in one execution
+    done = [union(rest[0], rest[1:]).materialize()] if rest else []
+    return ValidationResult(
+        checks, plan=lambda: union(stream(), done), raw=raw, fold=fold, rest=done
+    )

@@ -11,6 +11,7 @@ __all__ = [
     "join_barrier",
     "bucketed_group_agg",
     "keyed_exchange",
+    "sort_fold",
     "coalesce",
     "map_sized",
     "fold_tasks",
@@ -734,12 +735,15 @@ def keyed_exchange(
     ``fold`` runs over each whole block, stably sorted on
     ``bucket_col``. With ``k > 1`` a Ray sort on ``bucket_col``
     partitions and sorts the blocks; with ``k == 1`` there is nothing
-    to partition, and projection, an Arrow sort and the fold run in
-    the one coalesce task. Both give a fold the same rows in the same
-    order (a Ray sort of one block is that same stable sort). A
-    materialized ``parts`` is projected in the coalesced bundles (no
-    task per input block); any other is projected block by block and
-    materialized, to count it. A bucket never spans two blocks (what
+    to partition, and ``sort_fold`` (projection, an Arrow sort and the
+    fold) runs in the one coalesce task. Both give a fold the same rows
+    in the same order (a Ray sort of one block is that same stable
+    sort). ``validate()`` calls ``sort_fold`` itself on the driver when
+    its exchange would have one fold task, and builds this plan only
+    when its ``combined`` Dataset is read. A materialized ``parts`` is
+    projected in the coalesced bundles (no task per input block); any
+    other is projected block by block and materialized, to count it.
+    A bucket never spans two blocks (what
     ``groupby().map_groups`` gives, without its per-bucket split or its
     one partition per input block), so a fold that is invariant to the
     bucket count sees every row of its keys at once.
@@ -748,7 +752,6 @@ def keyed_exchange(
     the fold into the output too, in the fold's schema: at ``k == 1``
     in the same task as the fold, else in the coalesced bundles, in a
     union with the fold's output."""
-    import pyarrow as pa
     from ray.data.dataset import MaterializedDataset
 
     project = project or (lambda t: t)
@@ -764,9 +767,21 @@ def keyed_exchange(
             .map_batches(fold, batch_format="pyarrow", batch_size=None)
         )
         return folded if keep is None else coalesce(parts, keep).union(folded)
+    return coalesce(parts, sort_fold(bucket_col, fold, project, keep), 1)
+
+
+def sort_fold(bucket_col: str, fold, project=None, keep=None):
+    """``keyed_exchange`` with one fold task, as a function of one
+    table: ``project``, a stable Arrow sort on ``bucket_col``, then
+    ``fold``; with ``keep``, ``keep(t)``'s rows come first. The
+    exchange maps it over its one coalesced block; a caller holding
+    the whole stream can call it directly."""
+    import pyarrow as pa
+
+    project = project or (lambda t: t)
 
     def project_sort_fold(t):
         out = fold(project(t).sort_by(bucket_col))
         return out if keep is None else pa.concat_tables([keep(t), out])
 
-    return coalesce(parts, project_sort_fold, 1)
+    return project_sort_fold
