@@ -1,10 +1,13 @@
 """Fan-out of the keyed exchange (``runtime.keyed_exchange``):
 ``fold_tasks`` bounds, the one bucket hash, the fused, monotonic,
-reconcile and fd parity fixtures at forced fold-task counts, fan-out
-that follows the row count and not the block count, empty inputs, and
+reconcile and fd parity fixtures and the bucket-invariance tests of
+the ops on the exchange at forced fold-task counts, fan-out that
+follows the row count and not the block count, empty inputs, and
 per-bucket exemplar caps when one fold call sees many buckets."""
 
 from __future__ import annotations
+
+from datetime import timedelta
 
 import numpy as np
 import pandas as pd
@@ -17,13 +20,24 @@ from vald import pipeline as P
 from vald import runtime
 from vald.hashing import bucket_ids, stable_hash64
 from vald.ir import compile_table_spec
+from vald.drift import group_ks_exact
+from vald.ops import windows as W
+from vald.ops.dedup import distinct_count, exact_dedup
+from vald.ops.joins import asof_join, range_join
+from vald.ops.rank import group_percent_rank
+from vald.ops.sample import select_by_budget
 from vald.ops.stats import fd_groups_ds, monotonic_violations_ds, reconcile_ds
 
+import test_asof
 import test_cardinality
 import test_dist_paths
 import test_fd
 import test_monotonic
+import test_ops
+import test_range_join
+import test_rank
 import test_reconcile
+import test_windows
 
 
 def test_fold_tasks_bounds():
@@ -76,8 +90,10 @@ def test_fused_parity_at_forced_fold_tasks(ray_session, forced_fold_tasks, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_keyed_parity_at_forced_fold_tasks(ray_session, forced_fold_tasks, k):
-    """The monotonic and reconcile check kinds and the three keyed ops
-    give the same results however many fold tasks their exchange has."""
+    """The monotonic and reconcile check kinds, the three keyed ops of
+    ``ops.stats``, ``bucketed_group_agg`` and the per-key ops of
+    windows, joins, sample and rank give the same results however many
+    fold tasks their exchange has."""
     chosen = forced_fold_tasks(k)
     mono = test_monotonic.TestMonotonicSpec()
     mono.test_validate_integration(ray_session)
@@ -90,6 +106,19 @@ def test_keyed_parity_at_forced_fold_tasks(ray_session, forced_fold_tasks, k):
     test_reconcile.TestReconcileOp().test_missing_child_fails_and_bucket_invariant(
         ray_session
     )
+    test_dist_paths.test_bucketed_group_agg_matches_named_aggregate(ray_session)
+    for buckets in (1, 16):
+        test_windows.test_sessionize_matches_bruteforce_and_bucket_invariant(
+            ray_session, buckets
+        )
+    test_windows.test_cumulative_matches_pandas_and_bucket_invariant(ray_session, 7)
+    test_windows.test_lagged_matches_pandas_and_bucket_invariant(ray_session, 7)
+    test_windows.test_rolling_matches_pandas_and_bucket_invariant(ray_session, 7)
+    test_windows.test_rolling_time_matches_bruteforce_and_bucket_invariant(ray_session, 7)
+    test_asof.test_asof_bucket_invariance(ray_session)
+    test_range_join.test_range_join_bucket_invariance(ray_session)
+    test_ops.TestSelectByBudget().test_bucket_count_invariance(ray_session)
+    test_rank.TestGroupPercentRank().test_matches_pandas(ray_session, 3)
     # a 4-row exchange makes 2 tasks at k=3: no whole rows-per-task gives 3
     assert chosen and max(chosen) == k
 
@@ -181,6 +210,13 @@ def test_keyed_fan_out_follows_rows_not_blocks(ray_session, forced_fold_tasks):
         "acct", "balance", "acct", "amount",
     ).materialize()
     assert chosen == [1, 1]
+    t = test_monotonic._log(n=2000)
+    ts = pc.cast(pc.multiply(t["o"], 60_000_000), pa.timestamp("us"))
+    ev = ray.data.from_arrow(t.append_column("ts", ts)).repartition(40).materialize()
+    assert ev.num_blocks() == 40
+    W.sessionize(ev, "k", "ts", timedelta(minutes=30)).materialize()
+    runtime.bucketed_group_agg(ev, "k", [("v", "sum")]).materialize()
+    assert chosen == [1, 1, 1, 1]
 
 
 def test_keyed_routes_on_empty_input(ray_session):
@@ -199,6 +235,30 @@ def test_keyed_routes_on_empty_input(ray_session):
         fd_groups_ds(ev, "k", "v"),
     ]
     assert [o.count() for o in outs] == [0] * 5
+    ts = pa.array([], pa.timestamp("us"))
+    e = ray.data.from_arrow(
+        pa.table({"k": pa.array([], pa.int64()), "o": pa.array([], pa.int64()),
+                  "ts": ts, "v": pa.array([], pa.float64())})
+    )
+    iv = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64()), "s": ts, "e": ts}))
+    outs = [
+        W.sessionize(e, "k", "ts", timedelta(minutes=30)),
+        W.cumulative(e, "k", ["o"], "v"),
+        W.rolling(e, "k", ["o"], "v", frame_rows=2),
+        W.rolling_time(e, "k", "ts", "v", window=timedelta(hours=1)),
+        W.lagged(e, "k", ["o"], "v"),
+        select_by_budget(e, "k", ["o"], "o", 5),
+        group_percent_rank(e, "k", "v"),
+        asof_join(e, e, by="k", ts_col="ts", left_cols=["k", "ts"],
+                  right_cols={"v": "rv"}),
+        range_join(e, iv, by="k", ts_col="ts", start_col="s", end_col="e",
+                   point_cols=["k", "ts"], interval_cols={"s": "start"}),
+        group_ks_exact(e, e, "k", "v"),
+        exact_dedup(e, "k"),
+        runtime.bucketed_group_agg(e, "k", [("v", "sum")]),
+    ]
+    assert [o.count() for o in outs] == [0] * 12
+    assert distinct_count(e, "k") == 0
 
 
 def _buckets(keys: list[str], num_buckets: int) -> set[int]:

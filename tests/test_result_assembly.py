@@ -2,8 +2,8 @@
 fused exchange runs on the driver when a table is read (one Ray Data
 execution for validate() and both tables), the tables equal the
 ``combined`` Dataset's rows whichever is read first, and a 0-row input
-gives every check that the row pass decides a zero verdict on every
-route."""
+gives every check that reports under its own id a zero verdict on
+every route."""
 
 from __future__ import annotations
 
@@ -28,11 +28,21 @@ CHECKS = [
     {"kind": "completeness", "column": "z", "max_null_rate": 0.1},
     {"kind": "refint", "columns": ["p"], "parent_table": "par", "parent_columns": ["k"]},
 ]
+# one check of each kind that reads the input in a pass of its own and
+# reports under its own id
+OWN_PASS_CHECKS = [
+    {"kind": "monotonic", "key": ["g"], "order": ["id"], "column": "x"},
+    {"kind": "reconcile", "key": "p", "column": "y", "other_table": "ledger",
+     "other_key": "k", "other_sum": "amt"},
+    {"kind": "freshness", "column": "id", "as_of": 0, "max_age_s": 1},
+    {"kind": "quantile_bounds", "column": "y", "lower_q": 0.1, "upper_q": 0.9},
+]
 
 
-def _spec(strategy: str = "broadcast"):
+def _spec(strategy: str = "broadcast", extra: list = ()):
     checks = [
-        {**c, "strategy": strategy} if c["kind"] == "refint" else c for c in CHECKS
+        {**c, "strategy": strategy} if c["kind"] == "refint" else c
+        for c in CHECKS + list(extra)
     ]
     return compile_table_spec(
         {"table": "t", "row_ref": ["id"], "partition_by": "g", "num_partitions": 4,
@@ -54,12 +64,15 @@ def _input(n: int = 600) -> pa.Table:
     )
 
 
-PARENTS = {"par": pa.table({"k": np.arange(10)})}
+PARENTS = {
+    "par": pa.table({"k": np.arange(10)}),
+    "ledger": pa.table({"k": np.arange(13), "amt": np.arange(13.0)}),
+}
 
 
-def _validate(t: pa.Table, strategy: str = "broadcast"):
+def _validate(t: pa.Table, strategy: str = "broadcast", extra: list = ()):
     return P.validate(
-        ray.data.from_arrow(t).repartition(3), _spec(strategy), parents=PARENTS
+        ray.data.from_arrow(t).repartition(3), _spec(strategy, extra), parents=PARENTS
     )
 
 
@@ -136,13 +149,14 @@ def test_empty_input_gives_every_check_a_zero_verdict(
 ):
     """Ray calls no map on a 0-row block, so the row pass and every
     fold see nothing; every check still gets one verdict: partition 0,
-    nothing checked, no violation, pass."""
+    nothing checked, no violation, pass. This holds for the kinds with
+    a pass of their own that report under their own id too."""
     forced_fold_tasks(k)
-    spec = _spec(strategy)
-    res = _validate(_input().slice(0, 0), strategy)
+    spec = _spec(strategy, OWN_PASS_CHECKS)
+    res = _validate(_input().slice(0, 0), strategy, OWN_PASS_CHECKS)
     v = res.verdicts_table()
     ids = spec.constraint_ids
-    assert len(ids) == 7
+    assert len(ids) == 11
     assert sorted(v["constraint_id"].to_pylist()) == sorted(ids)
     assert set(v["partition_id"].to_pylist()) == {0}
     assert set(v["n_checked"].to_pylist()) == {0}

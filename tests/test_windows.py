@@ -142,12 +142,48 @@ def test_sessionize_string_keys_and_null_key_run(ray_session):
 
 
 def test_sessionize_data_scaled_default_buckets(ray_session):
-    # rule: max(min_buckets, ceil(rows / rows_per_bucket))
+    # the default bucket count; the exchange sizes its tasks from rows
     ds = _events_ds([(0, i) for i in range(10)])
-    out = sessionize(ds, "k", "ts", timedelta(minutes=30), rows_per_bucket=3, min_buckets=2)
+    out = sessionize(ds, "k", "ts", timedelta(minutes=30))
     df = _collect(out)
-    # 10 rows / 3 per bucket -> 4 buckets; result unchanged regardless
     assert int(df["n_events"].sum()) == 10
+
+
+def _minutes(*ms):
+    return pa.array([T0 + timedelta(minutes=m) for m in ms], type=pa.timestamp("us"))
+
+
+def test_sessionize_key_bucket_ignores_nulls_in_its_block(ray_session):
+    """Key 3's events sit in two blocks, one of which also holds a NULL
+    key. Both must hash to one bucket: one session of two events."""
+    a = pa.table({"k": pa.array([3, 4], pa.int64()), "ts": _minutes(0, 0)})
+    b = pa.table({"k": pa.array([3, None], pa.int64()), "ts": _minutes(10, 0)})
+    out = _collect(sessionize(ray.data.from_arrow([a, b]), "k", "ts", timedelta(minutes=30)))
+    got = {
+        (None if pd.isna(r.k) else int(r.k), int(r.session_id), int(r.n_events))
+        for r in out.itertuples()
+    }
+    assert got == {(3, 1, 2), (4, 1, 1), (None, 1, 1)}
+
+
+def test_asof_key_bucket_ignores_nulls_in_its_block(ray_session):
+    """The same shape for ``asof_join``: key 3's right row shares a
+    block with a NULL key and must still meet its left row."""
+    from vald.ops.joins import asof_join
+
+    left = ray.data.from_arrow(
+        pa.table({"k": pa.array([3, 4], pa.int64()), "ts": _minutes(10, 10)})
+    )
+    right = ray.data.from_arrow(
+        [
+            pa.table({"k": pa.array([4], pa.int64()), "ts": _minutes(0), "v": [1.0]}),
+            pa.table({"k": pa.array([3, None], pa.int64()), "ts": _minutes(0, 0), "v": [2.0, 3.0]}),
+        ]
+    )
+    out = asof_join(
+        left, right, by="k", ts_col="ts", left_cols=["k", "ts"], right_cols={"v": "rv"}
+    ).to_pandas()
+    assert sorted(zip(out["k"].tolist(), out["rv"].tolist())) == [(3, 2.0), (4, 1.0)]
 
 
 @pytest.mark.parametrize("buckets", [1, 7])

@@ -1,7 +1,8 @@
 """Scale probe: validate() on a generated corpus read with
 ``sources.read_source``, with the exchange's share of the wall time; or
-(``--keyed``) the keyed exchanges of monotonic and reconcile at a small
-and a large input block count.
+(``--keyed``) the keyed exchanges of monotonic, reconcile,
+``bucketed_group_agg``, ``sessionize`` and ``asof_join`` at a small and
+a large input block count.
 
     python tools/scale_probe.py --dir DIR --rows 100000 [--extra] [--runs 1]
                                 [--num-cpus 2] [--dump PREFIX]
@@ -24,12 +25,16 @@ writes the sorted verdict and violation rows to PREFIX.verdicts.parquet
 and PREFIX.violations.parquet, to compare two checkouts.
 
 ``--keyed`` builds a synthetic event table of ``--rows`` rows (default
-20k; key, order, value with injected backsteps) and an accounts table
-(one row per key, balance = the sum of its events' values, every 7th
-off by 1.0), and times a ``kind: monotonic`` check in ``validate()``,
-``ops.stats.monotonic_violations_ds`` and ``ops.stats.reconcile_ds``
-with their inputs in 4 and in 100 blocks, ``--runs`` times after one
-untimed warm-up. Each line gives a wall time and a digest of the sorted
+20k; key, order, a timestamp of ``order`` minutes, value with injected
+backsteps), an accounts table (one row per key, balance = the sum of
+its events' values, every 7th off by 1.0) and a marks table (half as
+many rows, each key's marks at distinct odd half-minutes), and times a
+``kind: monotonic`` check in ``validate()``,
+``ops.stats.monotonic_violations_ds``, ``ops.stats.reconcile_ds``,
+``runtime.bucketed_group_agg`` (sum of value per key),
+``ops.windows.sessionize`` (30-minute gap) and ``ops.joins.asof_join``
+(events as of the marks) with their inputs in 4 and in 100 blocks,
+``--runs`` times after one untimed warm-up. Each line gives a wall time and a digest of the sorted
 output (verdicts and violations for the check), which must agree across
 block counts and checkouts.
 
@@ -94,8 +99,13 @@ def keyed(rows: int, runs: int) -> None:
     import pyarrow as pa
     import ray
 
+    from datetime import timedelta
+
     from vald import pipeline
+    from vald.ops.joins import asof_join
     from vald.ops.stats import monotonic_violations_ds, reconcile_ds
+    from vald.ops.windows import sessionize
+    from vald.runtime import bucketed_group_agg
 
     rng = np.random.default_rng(7)
     n_keys = max(1, rows // 10)
@@ -103,10 +113,18 @@ def keyed(rows: int, runs: int) -> None:
     o = rng.permutation(rows)
     v = o * 10.0 + rng.integers(0, 5, rows)
     v = np.where(rng.random(rows) < 0.05, v - 1e6, v)
-    events = pa.table({"k": k, "o": o, "v": v})
+    events = pa.table({"k": k, "o": o, "ts": (o * 60_000_000).astype("datetime64[us]"), "v": v})
     balance = np.bincount(k, weights=v, minlength=n_keys)
     balance[::7] += 1.0
     accounts = pa.table({"k": np.arange(n_keys), "balance": balance})
+    n_marks = max(1, rows // 2)
+    marks = pa.table(
+        {
+            "k": rng.integers(0, n_keys, n_marks),
+            "ts": ((rng.permutation(n_marks) * 2 + 1) * 30_000_000).astype("datetime64[us]"),
+            "m": np.arange(n_marks),
+        }
+    )
     spec = {
         "table": "events",
         "columns": {},
@@ -118,6 +136,7 @@ def keyed(rows: int, runs: int) -> None:
 
     ev = {n: blocks(events, n) for n in (4, 100)}
     ac = {n: blocks(accounts, n) for n in (4, 100)}
+    mk = {n: blocks(marks, n) for n in (4, 100)}
 
     def check(n):
         res = pipeline.validate(ev[n], spec)
@@ -129,10 +148,25 @@ def keyed(rows: int, runs: int) -> None:
     def op_reconcile(n):
         return digest(ray_table(reconcile_ds(ac[n], ev[n], "k", "balance", "k", "v")))
 
+    def op_group_agg(n):
+        return digest(ray_table(bucketed_group_agg(ev[n], "k", [("v", "sum")])))
+
+    def op_sessionize(n):
+        return digest(ray_table(sessionize(ev[n], "k", "ts", timedelta(minutes=30))))
+
+    def op_asof(n):
+        out = asof_join(
+            mk[n], ev[n], by="k", ts_col="ts", left_cols=["k", "ts", "m"], right_cols={"v": "v"}
+        )
+        return digest(ray_table(out))
+
     routes = [
         ("monotonic check in validate()", check),
         ("ops.stats.monotonic_violations_ds", op_monotonic),
         ("ops.stats.reconcile_ds", op_reconcile),
+        ("runtime.bucketed_group_agg", op_group_agg),
+        ("ops.windows.sessionize", op_sessionize),
+        ("ops.joins.asof_join", op_asof),
     ]
     for _, fn in routes:  # warm-up: worker start and imports
         fn(4)

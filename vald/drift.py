@@ -581,7 +581,7 @@ def group_ks_exact(
     group_col: str,
     val_col: str,
     *,
-    num_buckets: int = 64,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """EXACT two-sample Kolmogorov-Smirnov statistic per group — the
     §5.3 exact twin of the t-digest ``group_drift_stats`` (sketches are
@@ -596,10 +596,13 @@ def group_ks_exact(
     Shape: both sides pre-aggregate per batch to (group, value,
     count_a, count_b) partials — the exchange is one row per distinct
     (group, value) per batch, never per input row — then one
-    group-hash bucket shuffle; each group's distinct values land in ONE
-    combine task (documented per-group-fits-a-task assumption, same as
-    sessionize). NULL group or value rows are dropped on both sides."""
-    from .ops.windows import _bucket_ids
+    ``runtime.keyed_exchange`` on a hash bucket of the group; each
+    group's distinct values land in ONE sorted block (documented
+    per-group-fits-a-task assumption, same as sessionize), and the fold
+    tasks size from the row count. NULL group or value rows are dropped
+    on both sides."""
+    from .hashing import bucket_ids
+    from .runtime import keyed_exchange, map_sized
 
     def flagged(col_a: int, col_b: int):
         def fn(t: pa.Table) -> pa.Table:
@@ -623,15 +626,11 @@ def group_ks_exact(
 
         return fn
 
-    stacked = ds_a.map_batches(
-        flagged(1, 0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        ds_b.map_batches(flagged(0, 1), batch_format="pyarrow", zero_copy_batch=True)
-    )
+    stacked = map_sized(ds_a, flagged(1, 0)).union(map_sized(ds_b, flagged(0, 1)))
 
     def bucketize(t: pa.Table) -> pa.Table:
         return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t["g"], num_buckets))
+            "__bucket", pa.array(bucket_ids([t["g"]], num_buckets))
         )
 
     def per_bucket(t: pa.Table) -> pa.Table:
@@ -687,11 +686,7 @@ def group_ks_exact(
             }
         )
 
-    return (
-        stacked.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(stacked, "__bucket", per_bucket, bucketize)
 
 
 def group_drift_check_results(

@@ -17,7 +17,7 @@ operators"):
   components via alternating large-star / small-star rounds
   (the MapReduce CC formulation of Kiveris et al., "Connected
   Components in MapReduce and Beyond", SoCC'14 — public algorithm),
-  expressed as map_batches + bucket-groupby; edges never touch the
+  expressed as map_batches + keyed exchanges; edges never touch the
   driver. Use this when pairs may exceed driver memory (hot
   boilerplate clusters make pairs quadratic in cluster size).
 """
@@ -32,7 +32,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..hashing import stable_hash64
+from ..hashing import bucket_ids, stable_hash64
+from ..runtime import bucketed_group_agg, keyed_exchange
 
 __all__ = [
     "exact_dedup",
@@ -66,15 +67,15 @@ def exact_dedup(
     on: str,
     *,
     id_col: str | None = None,
-    num_buckets: int = 64,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """Drop exact-duplicate rows by the value of ``on`` (e.g. text or a
     precomputed content_sha). Keeps the row with the smallest ``id_col``
     (deterministic across parallelism); without ``id_col``, keeps an
     arbitrary-but-single row per value.
 
-    Plan: map_batches adds (h, bucket) → groupby(bucket) →
-    local keep-min inside map_groups. Document bodies move once (with
+    Plan: ``runtime.keyed_exchange`` on a bucket of the value hash,
+    then a keep-min over each sorted block. Document bodies move once (with
     their row), never in the aggregate. TRULY exact: equal-hash runs
     are broken by comparing the actual ``on`` values, so a 64-bit hash
     collision between distinct values cannot drop a live row."""
@@ -111,16 +112,13 @@ def exact_dedup(
             first[1:] = h_diff | v_diff
         return g.filter(pa.array(first)).drop_columns(["__h", "__bucket"])
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(keep_first, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, "__bucket", keep_first, stamp)
 
 
-def distinct_count(ds: "ray.data.Dataset", on: str, num_buckets: int = 64) -> int:
-    """COUNT(DISTINCT on) via per-batch local distinct → bucket groupby
-    → per-bucket distinct count. Only hashes shuffle.
+def distinct_count(ds: "ray.data.Dataset", on: str, num_buckets: int = 256) -> int:
+    """COUNT(DISTINCT on) via per-batch local distinct → keyed exchange
+    on a bucket of the hash → distinct count per sorted block. Only
+    hashes shuffle.
 
     Collision bound (documented, not guarded): counts distinct 64-bit
     ``stable_hash64`` values, so two distinct inputs colliding under-count
@@ -140,11 +138,7 @@ def distinct_count(ds: "ray.data.Dataset", on: str, num_buckets: int = 64) -> in
         n = len(np.unique(g["h"].to_numpy(zero_copy_only=False)))
         return pa.table({"n": pa.array([n], type=pa.int64())})
 
-    out = (
-        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
+    out = keyed_exchange(ds, "bucket", count_bucket, pre)
     return int(out.sum("n") or 0)
 
 
@@ -413,14 +407,6 @@ def minhash_dedup_pairs_ds(
 _PAIR_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _pair_bucket(t: pa.Table, num_buckets: int) -> pa.Array:
-    """Deterministic shuffle bucket for an (id_a, id_b) pair row."""
-    ph = t["id_a"].to_numpy(zero_copy_only=False).astype(
-        np.uint64
-    ) * _PAIR_MIX + t["id_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    return pa.array((ph % np.uint64(num_buckets)).astype(np.int32))
-
-
 def _dedup_pairs_ds(
     pairs: "ray.data.Dataset",
     score_col: str,
@@ -429,31 +415,21 @@ def _dedup_pairs_ds(
 ) -> "ray.data.Dataset":
     """Distributed (id_a, id_b) dedup keeping max/min score: per-batch
     local group_by first, so the exchange moves one row per distinct
-    pair per batch; the global combine shuffles on a pair-hash bucket
-    and merges with vectorized ``pa.Table.group_by`` inside
-    ``map_groups`` — Ray's named-aggregate path on a high-cardinality
-    composite key measured ~10x slower than this shape (see
-    ``jaccard_pairs_ds`` stage 1)."""
+    pair per batch; the global combine is ``bucketed_group_agg`` —
+    Ray's named-aggregate path on a high-cardinality composite key
+    measured ~10x slower than this shape (see ``jaccard_pairs_ds``
+    stage 1)."""
+    agg = [(score_col, how)]
 
     def local(t: pa.Table) -> pa.Table:
-        out = (
-            t.group_by(["id_a", "id_b"], use_threads=False)
-            .aggregate([(score_col, how)])
-            .rename_columns(["id_a", "id_b", score_col])
-        )
-        return out.append_column("__pb", _pair_bucket(out, num_buckets))
+        out = t.group_by(["id_a", "id_b"], use_threads=False).aggregate(agg)
+        return out.rename_columns(["id_a", "id_b", score_col])
 
-    def combine(g: pa.Table) -> pa.Table:
-        return (
-            g.group_by(["id_a", "id_b"], use_threads=False)
-            .aggregate([(score_col, how)])
-            .rename_columns(["id_a", "id_b", score_col])
-        )
-
-    return (
-        pairs.map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__pb")
-        .map_groups(combine, batch_format="pyarrow")
+    return bucketed_group_agg(
+        pairs.map_batches(local, batch_format="pyarrow", zero_copy_batch=True),
+        ["id_a", "id_b"],
+        agg,
+        num_buckets,
     )
 
 
@@ -530,8 +506,9 @@ def _star_round(
     edges: "ray.data.Dataset", *, large: bool, num_buckets: int
 ) -> "ray.data.Dataset":
     """One large-star or small-star round (Kiveris et al. SoCC'14):
-    map symmetrize/orient → bucket-groupby on src → vectorized
-    per-segment min inside map_groups. Edges are (id_a=lo, id_b=hi)."""
+    map symmetrize/orient → keyed exchange on a bucket of src →
+    vectorized per-segment min over each sorted block. Edges are
+    (id_a=lo, id_b=hi)."""
 
     def orient(t: pa.Table) -> pa.Table:
         a = t["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -582,28 +559,20 @@ def _star_round(
             hi = np.concatenate([dst[keep], seg_src])
         return pa.table({"id_a": pa.array(lo), "id_b": pa.array(hi)})
 
-    return (
-        edges.map_batches(orient, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(star, batch_format="pyarrow")
-    )
+    return keyed_exchange(edges, "bucket", star, orient)
 
 
 def _edge_dedup(
     edges: "ray.data.Dataset", num_buckets: int = 256
 ) -> "ray.data.Dataset":
     def local(t: pa.Table) -> pa.Table:
-        out = t.group_by(["id_a", "id_b"], use_threads=False).aggregate([])
-        return out.append_column("__pb", _pair_bucket(out, num_buckets))
+        return t.group_by(["id_a", "id_b"], use_threads=False).aggregate([])
 
-    def combine(g: pa.Table) -> pa.Table:
-        # pa group_by keeps only the key columns — __pb drops here
-        return g.group_by(["id_a", "id_b"], use_threads=False).aggregate([])
-
-    return (
-        edges.map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__pb")
-        .map_groups(combine, batch_format="pyarrow")
+    return bucketed_group_agg(
+        edges.map_batches(local, batch_format="pyarrow", zero_copy_batch=True),
+        ["id_a", "id_b"],
+        [],
+        num_buckets,
     )
 
 
@@ -611,7 +580,7 @@ def near_dup_groups_ds(
     pairs: "ray.data.Dataset",
     *,
     max_rounds: int = 16,
-    num_buckets: int = 64,
+    num_buckets: int = 256,
     driver_threshold: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """Connected components over a pair Dataset. Pair sets up to
@@ -622,7 +591,7 @@ def near_dup_groups_ds(
 
     Alternating large-star / small-star rounds (public MapReduce CC
     algorithm, Kiveris et al. SoCC'14) expressed as map_batches +
-    bucket-groupby; converges in O(log n) rounds to star graphs rooted
+    keyed exchanges; converges in O(log n) rounds to star graphs rooted
     at each component's minimum id. Convergence is detected by a stable
     (count, xor-of-mixed-edge-hashes) signature — XOR of a splitmix64
     finalizer over each (id_a, id_b) is order- and partition-invariant
@@ -637,7 +606,7 @@ def near_dup_groups_ds(
     ``near_dup_groups`` (tested on seeded clusters).
 
     Partitioning assumption: a single star root's neighborhood must fit
-    one map_groups task (true once components collapse; a component with
+    one fold task (true once components collapse; a component with
     10^9 members would need the root's bucket to hold 10^9 edges —
     at that point dedup the inputs first)."""
     edges = pairs.select_columns(["id_a", "id_b"]).materialize()
@@ -728,29 +697,18 @@ def near_dup_groups_ds(
     def labels(t: pa.Table) -> pa.Table:
         lo = t["id_a"].to_numpy(zero_copy_only=False)
         hi = t["id_b"].to_numpy(zero_copy_only=False)
-        ids = np.concatenate([hi, lo])
         return pa.table(
             {
-                "__b": pa.array(
-                    (ids.astype(np.uint64) % np.uint64(num_buckets)).astype(
-                        np.int32
-                    )
-                ),
-                "id": pa.array(ids),
+                "id": pa.array(np.concatenate([hi, lo])),
                 "group_id": pa.array(np.concatenate([lo, lo])),
             }
         )
 
-    def label_min(g: pa.Table) -> pa.Table:
-        r = g.group_by("id", use_threads=False).aggregate(
-            [("group_id", "min")]
-        )
-        return r.rename_columns(["id", "group_id"])
-
-    return (
-        edges.map_batches(labels, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(label_min, batch_format="pyarrow")
+    return bucketed_group_agg(
+        edges.map_batches(labels, batch_format="pyarrow", zero_copy_batch=True),
+        "id",
+        [("group_id", "min")],
+        num_buckets,
     )
 
 
@@ -1107,9 +1065,9 @@ def jaccard_pairs_ds(
 
     1. heavy-shingle document frequencies: per-batch distinct-shingle
        count partials keyed by the shingle's 64-bit hash →
-       groupby(hash bucket) → vectorized pa.Table.group_by sum → keep
-       df >= heavy_df_min. Zipf makes this set tiny (~1k rows at
-       sf0.1); it broadcasts once via ``ray.put``. df accuracy only
+       ``bucketed_group_agg`` sum → keep df >= heavy_df_min. Zipf
+       makes this set tiny (~1k rows at sf0.1); it broadcasts once via
+       ``ray.put``. df accuracy only
        affects PRUNING, never correctness (hash collisions merge two
        shingles' counts — the rarity order shifts, the verified result
        cannot) — the order just has to be the same everywhere, so at
@@ -1126,7 +1084,8 @@ def jaccard_pairs_ds(
        result is string-exact regardless). Emit only the first
        n_sh − ceil(t·n_sh) + 1 postings per row (np.lexsort +
        run-position trick, no per-row Python sort).
-    3. candidate pairs: groupby(bucket) → equal-hash segments emit
+    3. candidate pairs: keyed exchange on a bucket of the shingle hash
+       → equal-hash segments of each sorted block emit
        C(L,2) index pairs, pruned by the pair bound
        c >= ceil(t(na+nb)/(1+t)) combined with PPJoin's positional
        filter (Xiao et al. WWW'08: shared elements all rank at or
@@ -1164,24 +1123,20 @@ def jaccard_pairs_ds(
         # IS the batch document frequency
         h, c = np.unique(h_u, return_counts=True)
         return pa.table(
-            {
-                "__b": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int32)
-                ),
-                "h": pa.array(h.view(np.int64)),
-                "c": pa.array(c.astype(np.int64)),
-            }
+            {"h": pa.array(h.view(np.int64)), "df": pa.array(c.astype(np.int64))}
         )
 
-    def df_combine(g: pa.Table) -> pa.Table:
-        r = g.group_by("h", use_threads=False).aggregate([("c", "sum")])
-        r = r.filter(pc.greater_equal(r["c_sum"], pa.scalar(heavy_df_min)))
-        return pa.table({"h": r["h"], "df": r["c_sum"]})
-
     heavy_pdf = (
-        ds.map_batches(df_partial, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(df_combine, batch_format="pyarrow")
+        bucketed_group_agg(
+            ds.map_batches(df_partial, batch_format="pyarrow"),
+            "h",
+            [("df", "sum")],
+            num_buckets,
+        )
+        .map_batches(
+            lambda t: t.filter(pc.greater_equal(t["df"], pa.scalar(heavy_df_min))),
+            batch_format="pyarrow",
+        )
         .to_pandas()  # bounded: Zipf tail above heavy_df_min only
     )
     if "h" in heavy_pdf.columns and len(heavy_pdf):
@@ -1254,7 +1209,6 @@ def jaccard_pairs_ds(
             "id_b": pa.array([], type=pa.int64()),
             "na": pa.array([], type=pa.int64()),
             "nb": pa.array([], type=pa.int64()),
-            "__pb": pa.array([], type=pa.int32()),
         }
     )
 
@@ -1305,20 +1259,11 @@ def jaccard_pairs_ds(
             }
         )
         # batch-local dedup: one row per distinct pair leaves the task
-        out = (
+        return (
             out.group_by(["id_a", "id_b"], use_threads=False)
             .aggregate([("na", "min"), ("nb", "min")])
             .rename_columns(["id_a", "id_b", "na", "nb"])
         )
-        # pair-hash bucket for the GLOBAL dedup shuffle (same bucketed
-        # map_groups shape as stage 1, for the same measured reason)
-        return out.append_column("__pb", _pair_bucket(out, num_buckets))
-
-    def dedup_pairs(g: pa.Table) -> pa.Table:
-        r = g.group_by(["id_a", "id_b"], use_threads=False).aggregate(
-            [("na", "min"), ("nb", "min")]
-        )
-        return r.rename_columns(["id_a", "id_b", "na", "nb"])
 
     def _verify_pairs(t: pa.Table, txts) -> pa.Table:
         """String-exact Jaccard over candidate pair rows (shared by the
@@ -1396,17 +1341,22 @@ def jaccard_pairs_ds(
         texts = tbl["text"].combine_chunks().take(pa.array(order))
         return ids[order], texts
 
-    cand_head = (
-        ds.map_batches(prefix_postings, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(cooccur_in_bucket, batch_format="pyarrow")
-        .groupby("__pb")
+    # GLOBAL pair dedup: a bucketed combine, for the same measured
+    # reason as stage 1
+    candidates = bucketed_group_agg(
+        keyed_exchange(
+            ds.map_batches(prefix_postings, batch_format="pyarrow"),
+            "__bucket",
+            cooccur_in_bucket,
+        ),
+        ["id_a", "id_b"],
+        [("na", "min"), ("nb", "min")],
+        num_buckets,
     )
 
     # FAST PATH (small/medium corpora, measured latency win): when the
     # WHOLE corpus fits the driver-broadcast contract, ship (id, text)
-    # once via ray.put and fold verification into the pair-dedup
-    # map_groups — the pipeline ends at the second shuffle, skipping
+    # once via ray.put and verify right after the pair dedup — skipping
     # the candidates materialize, the distinct-id pass and the
     # candidate-text gather (3 driver round-trips + 1 dataset pass).
     # At 100 TB n_docs blows the bound and the candidate-bounded paths
@@ -1415,13 +1365,9 @@ def jaccard_pairs_ds(
     n_docs = ds.count()
     if n_docs <= broadcast_corpus_docs:
         corpus_ref = ray.put(_gather_text_map(ds, None))
-
-        def dedup_verify(g: pa.Table) -> pa.Table:
-            return _verify_pairs(dedup_pairs(g), ray.get(corpus_ref))
-
-        return cand_head.map_groups(dedup_verify, batch_format="pyarrow")
-
-    candidates = cand_head.map_groups(dedup_pairs, batch_format="pyarrow")
+        return candidates.map_batches(
+            lambda t: _verify_pairs(t, ray.get(corpus_ref)), batch_format="pyarrow"
+        )
 
     # ---- stage 4: exact verification ----------------------------------
     def ids_partial(t: pa.Table) -> pa.Table:
@@ -1435,7 +1381,7 @@ def jaccard_pairs_ds(
         ) if len(t) else np.array([], dtype=np.int64)
         return pa.table({"id": pa.array(u, type=pa.int64())})
 
-    # the groupby above is a barrier-shaped all-to-all; materialize once
+    # the exchange above is a barrier-shaped all-to-all; materialize once
     # so the candidate Dataset feeds BOTH the id gather and the verify
     # stage without re-execution (and so any downstream join is
     # livelock-safe, BENCH/BASELINE.md note 12)
@@ -1455,24 +1401,12 @@ def jaccard_pairs_ds(
         )
         n_cand_docs = len(cand_ids)
     else:
-        def ids_bucketed(t: pa.Table) -> pa.Table:
-            t = ids_partial(t)
-            b = (
-                t["id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                % np.uint64(num_buckets)
-            ).astype(np.int32)
-            return t.append_column("__b", pa.array(b))
-
-        def ids_distinct(g: pa.Table) -> pa.Table:
-            u = np.unique(g["id"].to_numpy(zero_copy_only=False))
-            return pa.table({"id": pa.array(u, type=pa.int64())})
-
-        ids_ds = (
-            candidates.map_batches(ids_bucketed, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(ids_distinct, batch_format="pyarrow")
-            .materialize()
-        )
+        ids_ds = bucketed_group_agg(
+            candidates.map_batches(ids_partial, batch_format="pyarrow"),
+            "id",
+            [],
+            num_buckets,
+        ).materialize()
         n_cand_docs = ids_ds.count()
         cand_ids = None
         if n_cand_docs <= max_broadcast_docs:
@@ -1592,7 +1526,6 @@ def line_dedup_ds(
     corpus — no shuffle at all), else an exploded ``left_anti`` join +
     one id-bucket reassembly shuffle (same planner shape as B5/
     ``drop_near_dups``)."""
-    from ..runtime import bucketed_group_agg
 
     def _explode(t: pa.Table):
         from ..runtime import compact_strings
@@ -1789,17 +1722,9 @@ def line_dedup_ds(
         )
 
     def stamp_bucket(t: pa.Table) -> pa.Table:
-        from .windows import _bucket_ids
+        return t.append_column("__bucket", pa.array(bucket_ids([t[id_col]], 256)))
 
-        return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t[id_col], max(32, num_partitions)))
-        )
-
-    return (
-        kept.map_batches(stamp_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(reassemble, batch_format="pyarrow")
-    )
+    return keyed_exchange(kept, "__bucket", reassemble, stamp_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -1858,7 +1783,6 @@ def dup_span_stats_ds(
     width: int = 4,
     min_df: int = 2,
     max_broadcast_grams: int = 2_000_000,
-    num_partitions: int = 32,
 ) -> "ray.data.Dataset":
     """Duplicate-passage statistics: for every doc, how many of its
     token ``width``-grams (sliding window, stride 1, whitespace tokens)
@@ -1878,9 +1802,9 @@ def dup_span_stats_ds(
     dictionary-encode) into a bucketed combine; stage 2 broadcasts the
     frequent-gram set when it fits (``ray.put`` once, ``pc.is_in`` per
     batch — duplicated passages are rare relative to the corpus), else
-    falls back to an exploded inner join + per-doc count + LEFT OUTER
-    join back to the window totals (same planner shape as B5)."""
-    from ..runtime import bucketed_group_agg
+    co-groups the exploded occurrences with the frequent grams in one
+    keyed exchange on a gram-hash bucket and sums per doc (same planner
+    shape as B5)."""
 
     def _grams(t: pa.Table):
         return token_grams(t, text_col, width)
@@ -1969,14 +1893,12 @@ def dup_span_stats_ds(
 
     # ---- fallback: frequent-gram set too large to broadcast ----
     # join-free shape: co-group exploded occurrences with the frequent
-    # grams by gram-hash bucket (one groupby), emit per-doc dup-count
-    # partials, then one bucketed per-doc sum over (window totals ∪
-    # dup partials). Avoids Ray 2.49 joins over join-derived inputs
-    # (empty partitions surface schema-less blocks that crash Acero).
-    from .windows import _bucket_ids
-
+    # grams by gram-hash bucket (one keyed exchange), emit per-doc
+    # dup-count partials, then one bucketed per-doc sum over (window
+    # totals ∪ dup partials). Avoids Ray 2.49 joins over join-derived
+    # inputs (empty partitions surface schema-less blocks that crash
+    # Acero).
     id_type = ds.schema().base_schema.field(id_col).type
-    gram_buckets = max(64, num_partitions)
 
     def occ_tagged(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[text_col]))
@@ -2021,9 +1943,7 @@ def dup_span_stats_ds(
     )
 
     def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t["gram"], gram_buckets))
-        )
+        return t.append_column("__bucket", pa.array(bucket_ids([t["gram"]], 256)))
 
     def per_bucket(g: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -2056,12 +1976,13 @@ def dup_span_stats_ds(
             }
         )
 
-    partials = (
-        ds.map_batches(occ_tagged, batch_format="pyarrow", zero_copy_batch=True)
-        .union(freq_tagged)
-        .map_batches(stamp, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    partials = keyed_exchange(
+        ds.map_batches(occ_tagged, batch_format="pyarrow", zero_copy_batch=True).union(
+            freq_tagged
+        ),
+        "__bucket",
+        per_bucket,
+        stamp,
     )
 
     def totals(t: pa.Table) -> pa.Table:
@@ -2129,7 +2050,7 @@ def edit_distance_pairs_ds(
     id_col: str,
     *,
     max_len: int = 64,
-    num_buckets: int = 64,
+    num_buckets: int = 256,
     max_key_group: int = 4096,
 ) -> "ray.data.Dataset":
     """All (id_a, id_b, ed) pairs of rows whose ``col`` strings are
@@ -2155,8 +2076,6 @@ def edit_distance_pairs_ds(
     exchange, the distinct — is bucketed. ``id_a < id_b`` in every
     output row."""
     import pandas as pd
-
-    from ..runtime import bucketed_group_agg
 
     _EMPTY_KEYS = pa.table(
         {
@@ -2262,11 +2181,11 @@ def edit_distance_pairs_ds(
             }
         )
 
-    pairs = (
-        ds.map_batches(explode_keys, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(stamp, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    pairs = keyed_exchange(
+        ds.map_batches(explode_keys, batch_format="pyarrow", zero_copy_batch=True),
+        "__b",
+        per_bucket,
+        stamp,
     )
     # same pair discovered via keys hashing to DIFFERENT buckets: one
     # global bucketed distinct ((id_a, id_b) -> min ed; ed is identical

@@ -1,6 +1,6 @@
 """As-of (nearest-prior) join — an engine operator Ray Data lacks
 natively (SURVEY.md §2 B14 family; the "custom operator" tier of the
-build rules: composition of map_batches + bucketed groupby, with the
+build rules: composition of map_batches + the keyed exchange, with the
 partitioning assumption documented).
 
 Semantics match SQL ASOF JOIN (DuckDB dialect, backward direction):
@@ -10,30 +10,34 @@ drops unmatched left rows; left mode keeps them with NULL right
 columns.
 
 Scale design (100 TB):
-- each side is projected to (by, ts, needed cols) per batch BEFORE the
-  shuffle; both sides move ONCE to ``hash(by) % num_buckets`` buckets.
-- the per-bucket match is one Arrow sort + a vectorized
+- each side is projected to (by, ts, needed cols) BEFORE the shuffle
+  (``runtime.map_sized``: in a few coalesced bundles when the side is
+  materialized, else per block); both sides move ONCE through
+  ``runtime.keyed_exchange`` on a ``hashing.bucket_ids(by) %
+  num_buckets`` bucket.
+- the match over each sorted block is one Arrow sort + a vectorized
   ``np.searchsorted`` over composite (key, ts) codes — no Python
   per-row work. Composite overflow (huge key cardinality × time span
-  in one bucket) falls back to a per-key segment walk, still
+  in one block) falls back to a per-key segment walk, still
   searchsorted-based.
 - partitioning assumption (same as ``sessionize``): all rows of one
-  ``by`` key fit one task; ``num_buckets`` scales with input size via
-  the B4 rule ``max(min_buckets, ceil(rows / rows_per_bucket))``.
-  Results are bucket-count-invariant (tested).
+  ``by`` key fit one task. The exchange sizes its fold tasks from the
+  row count; ``num_buckets`` is only the hash modulus. Results are
+  bucket-count-invariant (tested).
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .windows import _MIN_BUCKETS, _ROWS_PER_BUCKET, _bucket_ids, _drop_null_ts, _ts_int64, _us
+from ..hashing import bucket_ids
+from ..runtime import keyed_exchange, map_sized
+from .windows import _drop_null_ts, _ts_int64, _us
 
 if TYPE_CHECKING:  # pragma: no cover
     import ray.data
@@ -51,9 +55,7 @@ def asof_join(
     right_cols: dict[str, str],
     join_type: str = "inner",
     tolerance: "_dt.timedelta | int | None" = None,
-    num_buckets: int | None = None,
-    rows_per_bucket: int = _ROWS_PER_BUCKET,
-    min_buckets: int = _MIN_BUCKETS,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """Backward as-of join: per left row, the matching ``by``-key right
     row with the greatest ``ts <= left.ts``. When several right rows
@@ -81,10 +83,6 @@ def asof_join(
     if set(out_names) & set(left_cols):
         raise ValueError("right output names collide with left_cols")
 
-    if num_buckets is None:
-        rows = left.count() + right.count()
-        num_buckets = max(min_buckets, math.ceil(rows / rows_per_bucket))
-
     # ---- union schema: left passthrough + right payload + side tag ----
     # the right side's payload column types, captured from its schema so
     # the left side's null columns cast to the same type
@@ -107,7 +105,7 @@ def asof_join(
         for out, typ in rtypes.items():
             cols[out] = pa.nulls(n, typ)
         cols["__side"] = pa.array(np.zeros(n, dtype=np.int8))
-        cols["__bucket"] = pa.array(_bucket_ids(t[by], num_buckets))
+        cols["__bucket"] = pa.array(bucket_ids([t[by]], num_buckets))
         return pa.table(cols)
 
     lschema = left.schema()
@@ -125,14 +123,10 @@ def asof_join(
         for src, out in right_cols.items():
             cols[out] = t[src]
         cols["__side"] = pa.array(np.ones(n, dtype=np.int8))
-        cols["__bucket"] = pa.array(_bucket_ids(t[by], num_buckets))
+        cols["__bucket"] = pa.array(bucket_ids([t[by]], num_buckets))
         return pa.table(cols)
 
-    tagged = left.map_batches(
-        tag_left_typed, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        right.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    tagged = map_sized(left, tag_left_typed).union(map_sized(right, tag_right))
 
     def _match_in_bucket(g: pa.Table) -> pa.Table:
         side = g["__side"].to_numpy(zero_copy_only=False)
@@ -218,10 +212,7 @@ def asof_join(
             out_cols[o] = pc.if_else(hit_arr, gathered, pa.scalar(None, type=rtypes[o]))
         return pa.table(out_cols)
 
-    return (
-        tagged.groupby("__bucket")
-        .map_groups(_match_in_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(tagged, "__bucket", _match_in_bucket)
 
 
 _CLOSED = {
@@ -246,9 +237,7 @@ def range_join(
     interval_cols: dict[str, str],
     join_type: str = "inner",
     closed: str = "left",
-    num_buckets: int | None = None,
-    rows_per_bucket: int = _ROWS_PER_BUCKET,
-    min_buckets: int = _MIN_BUCKETS,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """Range (interval) join: each ``points`` row joins EVERY
     ``intervals`` row sharing the ``by`` key whose
@@ -260,7 +249,7 @@ def range_join(
 
     Scale design (same shuffle shape as :func:`asof_join`): both sides
     are projected per batch, move ONCE to ``hash(by) % num_buckets``
-    buckets, and the per-bucket match is one sort + two vectorized
+    buckets, and the match per sorted block is one sort + two vectorized
     ``np.searchsorted`` passes over composite (key, start) codes.
     Candidate slabs use the bounded-duration bound: an interval can
     only contain ``ts`` if it STARTS within ``D = max(end - start)`` of
@@ -268,8 +257,8 @@ def range_join(
     enumerated, then the exact predicate filters (lossless — any
     interval starting earlier has ``end <= start + D < ts``).
 
-    Documented boundary: one pathologically long interval in a bucket
-    widens every slab in that bucket (candidates per point ~ intervals
+    Documented boundary: one pathologically long interval in a block
+    widens every slab in that block (candidates per point ~ intervals
     starting within D). If durations are wildly mixed, split long
     intervals upstream into <= D-sized pieces (dedup pairs after) —
     the standard banding valve; not needed for uniform-width windows.
@@ -289,10 +278,6 @@ def range_join(
     if set(out_names) & set(point_cols):
         raise ValueError("interval output names collide with point_cols")
     s_op, e_op = _CLOSED[closed]
-
-    if num_buckets is None:
-        rows = points.count() + intervals.count()
-        num_buckets = max(min_buckets, math.ceil(rows / rows_per_bucket))
 
     ischema = intervals.schema()
     if ischema is None:
@@ -323,7 +308,7 @@ def range_join(
         cols["__s"] = pa.nulls(n, pa.int64())
         cols["__e"] = pa.nulls(n, pa.int64())
         cols["__side"] = pa.array(np.zeros(n, dtype=np.int8))
-        cols["__bucket"] = pa.array(_bucket_ids(t[by], num_buckets))
+        cols["__bucket"] = pa.array(bucket_ids([t[by]], num_buckets))
         return pa.table(cols)
 
     def tag_intervals(t: pa.Table) -> pa.Table:
@@ -344,14 +329,10 @@ def range_join(
         cols["__s"] = pa.array(s)
         cols["__e"] = pa.array(e)
         cols["__side"] = pa.array(np.ones(n, dtype=np.int8))
-        cols["__bucket"] = pa.array(_bucket_ids(t[by], num_buckets))
+        cols["__bucket"] = pa.array(bucket_ids([t[by]], num_buckets))
         return pa.table(cols)
 
-    tagged = points.map_batches(
-        tag_points, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        intervals.map_batches(tag_intervals, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    tagged = map_sized(points, tag_points).union(map_sized(intervals, tag_intervals))
 
     def _match_in_bucket(g: pa.Table) -> pa.Table:
         side = g["__side"].to_numpy(zero_copy_only=False)
@@ -448,7 +429,4 @@ def range_join(
         )
         return pa.concat_tables([matched, unmatched])
 
-    return (
-        tagged.groupby("__bucket")
-        .map_groups(_match_in_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(tagged, "__bucket", _match_in_bucket)

@@ -55,7 +55,7 @@ def pack_sequences(
     dropped (zero-length docs carry no tokens to pack).
 
     Returns (id_col, len_col, pack_id, pack_pos)."""
-    from .windows import _bucket_ids
+    from ..hashing import bucket_ids
 
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -67,7 +67,7 @@ def pack_sequences(
         m = pc.and_(m, pc.greater(t[len_col], pa.scalar(0)))
         t = t.filter(m).select([id_col, len_col])
         return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t[id_col], num_buckets))
+            "__bucket", pa.array(bucket_ids([t[id_col]], num_buckets))
         )
 
     def per_bucket(g: pa.Table) -> pa.Table:

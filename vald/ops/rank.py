@@ -6,7 +6,14 @@ per group key survive each batch) runs before the shuffle, so the
 of the whole group — the same partial-before-shuffle rule the engine
 uses for aggregates (vald/pipeline.py) and sliding windows
 (vald/ops/windows.py). The final per-group merge is a tiny
-``map_groups`` sort over the surviving candidates.
+``map_groups`` sort over the surviving candidates: it handles one
+group per call, so it stays on Ray's ``groupby(key)``.
+
+``global_rank`` range-partitions (a bucket's rank offset is the count
+of every earlier bucket), so it keeps ``groupby(bucket).map_groups``;
+``group_percent_rank`` ranks within a key, so its rows move through
+``runtime.keyed_exchange`` on a hash bucket of the key and each fold
+task sizes from the row count.
 
 Null policy (documented, matches the query-catalog oracles): rows whose
 group key or order value is null are dropped before ranking — SQL
@@ -14,8 +21,6 @@ ROW_NUMBER() oracles add the matching ``IS NOT NULL`` guards.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pyarrow as pa
@@ -290,9 +295,7 @@ def group_percent_rank(
     *,
     carry_cols: "tuple | list" = (),
     out_col: str = "pct_rank",
-    num_buckets: int | None = None,
-    rows_per_bucket: int = 5_000_000,
-    min_buckets: int = 32,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """SQL ``PERCENT_RANK() OVER (PARTITION BY key ORDER BY val)`` —
     the per-group percentile feature (quality-score normalization
@@ -300,24 +303,25 @@ def group_percent_rank(
     1%"). Ties share the minimum rank (RANK semantics); a single-row
     group scores 0.
 
-    Shape (100 TB): one key-hash shuffle (every row of a key in one
-    bucket task — the cumulative/sessionize recipe, B4 data-scaled
-    bucket count), per bucket one Arrow sort by (key, val) and a fully
+    Shape (100 TB): one key-hash shuffle (``runtime.keyed_exchange``:
+    every row of a key in one sorted block, the cumulative/sessionize
+    recipe; ``num_buckets`` is only the hash modulus), per block one
+    Arrow sort by (key, val) and a fully
     vectorized rank pass (segment starts via adjacent-change, tie
     groups via a running maximum of change positions). Rows with NULL
     key or val are dropped (SQL guards added in oracles). Returns
     (key_col, *carry_cols, val_col, out_col:float64)."""
-    from .windows import _adjacent_change, _bucket_ids
+    from ..hashing import bucket_ids
+    from ..runtime import keyed_exchange
+    from .windows import _adjacent_change
 
     carry = list(carry_cols)
-    if num_buckets is None:
-        num_buckets = max(min_buckets, math.ceil(ds.count() / rows_per_bucket))
 
     def bucketize(t: pa.Table) -> pa.Table:
         m = pc.and_(pc.is_valid(t[key_col]), pc.is_valid(t[val_col]))
         t = t.filter(pc.fill_null(m, False)).select([key_col, *carry, val_col])
         return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t[key_col], num_buckets))
+            "__bucket", pa.array(bucket_ids([t[key_col]], num_buckets))
         )
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -349,8 +353,4 @@ def group_percent_rank(
             out_col, pa.array(pct, type=pa.float64())
         )
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, "__bucket", per_bucket, bucketize)

@@ -89,7 +89,7 @@ def select_by_budget(
     budget: int,
     *,
     out_col: str = "cum_tokens",
-    num_buckets: int | None = None,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """Per-group token-budget selection — the curation step "take the
     best documents from each source until its token budget is spent":
@@ -102,32 +102,24 @@ def select_by_budget(
     ``SUM(tok) OVER (PARTITION BY g ORDER BY ...) <= budget`` filter.
 
     Partitioning: the single key-hash shuffle used by
-    ``windows.cumulative`` (every row of one group lands in one bucket
-    task, ``num_buckets`` data-scaled by the B4 rule); inside a bucket
-    one Arrow sort restores group segments and the running sums are one
-    vectorized cumsum with per-segment base subtraction (int64 — token
-    counts are integral, so the prefix sums are exact). Rows with a
+    ``windows.cumulative`` (``runtime.keyed_exchange``: every row of one
+    group lands in one sorted block; ``num_buckets`` is only the hash
+    modulus); inside a block one Arrow sort restores group segments
+    and the running sums are one vectorized cumsum with per-segment
+    base subtraction (int64 — token counts are integral, so the prefix
+    sums are exact). Rows with a
     NULL group, NULL order column, or NULL token count are dropped
     (the SQL twin guards the same way)."""
-    import math
-
     import pyarrow.compute as pc
 
-    from .windows import (
-        _MIN_BUCKETS,
-        _ROWS_PER_BUCKET,
-        _adjacent_change,
-        _bucket_ids,
-    )
+    from ..hashing import bucket_ids
+    from ..runtime import keyed_exchange
+    from .windows import _adjacent_change
 
     order_cols = [
         (c, "ascending") if isinstance(c, str) else (c[0], c[1])
         for c in order_cols
     ]
-    if num_buckets is None:
-        num_buckets = max(
-            _MIN_BUCKETS, math.ceil(ds.count() / _ROWS_PER_BUCKET)
-        )
 
     def bucketize(t: pa.Table) -> pa.Table:
         m = pc.is_valid(t[group_col])
@@ -136,7 +128,7 @@ def select_by_budget(
         m = pc.and_(m, pc.is_valid(t[token_col]))
         t = t.filter(m)
         return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t[group_col], num_buckets))
+            "__bucket", pa.array(bucket_ids([t[group_col]], num_buckets))
         )
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -163,11 +155,7 @@ def select_by_budget(
         g = g.append_column(out_col, pa.array(cum, type=pa.int64()))
         return g.filter(pa.array(keep))
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, "__bucket", per_bucket, bucketize)
 
 
 def mix_sources(

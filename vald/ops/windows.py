@@ -3,20 +3,25 @@
 VERDICT r2 item 2: tumbling / sliding windows and gap sessionization
 were previously inlined in the query catalog with hardcoded widths and
 a fixed 32-bucket user hash; this module makes them parameterized
-operators a pipeline author can call, with DATA-SCALED partitioning
-(the B4 rule: each shuffle group is one task, so the bucket count must
-grow with the input — ``max(min_buckets, ceil(rows / rows_per_bucket))``).
+operators a pipeline author can call.
 
 Scale design (100 TB):
 - ``tumbling_window`` / ``sliding_window`` pre-aggregate per batch
   (local ``group_by`` on (window_start, keys)) BEFORE the shuffle, so
   the all-to-all moves one row per distinct (window, key) per batch,
   never one row per event.
-- ``sessionize`` shuffles each event once to a key-hash bucket; the
-  per-bucket segment math is a single Arrow sort + vectorized numpy
-  pass (no Python per-row work). Bucket count scales with rows so no
-  single ``map_groups`` task holds more than ~``rows_per_bucket``
-  events (the r2 fixed-32-bucket OOM valve).
+- ``sessionize``, ``cumulative``, ``rolling``, ``rolling_time`` and
+  ``lagged`` move each event once through ``runtime.keyed_exchange``
+  on a ``hashing.bucket_ids`` bucket of the key; the per-block segment
+  math is a single Arrow sort + vectorized numpy pass (no Python
+  per-row work). The exchange sizes its fold tasks from the row count
+  (``runtime.fold_tasks``), so no task folds more than
+  ``ROWS_PER_FOLD_TASK`` events however many blocks the input has;
+  ``num_buckets`` is only the hash modulus.
+- ``watermark_late`` and ``interval_concurrency_ds`` RANGE-partition
+  (a running max or sum needs ordered buckets), so their bucket count
+  follows the B4 rule ``max(min_buckets, ceil(rows /
+  rows_per_bucket))``: one ``map_groups`` group per bucket.
 - Output is parallelism-invariant: window starts are epoch-aligned
   (floor division on the microsecond epoch), session boundaries depend
   only on (key, ts) order, and bucket count never changes results
@@ -34,7 +39,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import stable_hash64
+from ..hashing import bucket_ids
+from ..runtime import bucketed_group_agg, keyed_exchange
 
 if TYPE_CHECKING:  # pragma: no cover
     import ray.data
@@ -52,7 +58,8 @@ __all__ = [
     "dense_tumbling_counts",
 ]
 
-# B4's documented scaling rule: one shuffle group ≈ one task's memory
+# B4's scaling rule for the range-bucket ops: one shuffle group ≈ one
+# task's memory
 _ROWS_PER_BUCKET = 5_000_000
 _MIN_BUCKETS = 32
 
@@ -81,8 +88,6 @@ def _drop_null_ts(t: pa.Table, ts_col: str) -> pa.Table:
 def _count_sum(ds: "ray.data.Dataset", keys: list[str], out_col: str):
     # windows × group keys can be high-cardinality; use the bucketed
     # combine shape (see runtime.bucketed_group_agg) over partials
-    from ..runtime import bucketed_group_agg
-
     return bucketed_group_agg(ds, keys, [(out_col, "sum")])
 
 
@@ -197,18 +202,6 @@ def sliding_window(
     return _count_sum(pre, ["window_start", *keys], out_col)
 
 
-def _bucket_ids(col: "pa.ChunkedArray | pa.Array", num_buckets: int) -> np.ndarray:
-    """Deterministic key→bucket hash, vectorized. Integer keys hash
-    straight on the int64 numpy array (pandas siphash, no object
-    conversion); other types go through stable_hash64."""
-    v = col.to_numpy(zero_copy_only=False)
-    if np.issubdtype(np.asarray(v).dtype, np.integer):
-        h = pd.util.hash_array(np.ascontiguousarray(v, dtype=np.int64))
-    else:
-        h = stable_hash64(col)
-    return (h % np.uint64(num_buckets)).astype(np.int32)
-
-
 def _adjacent_change(col: "pa.ChunkedArray", n: int) -> np.ndarray:
     """boolean[n]: True where row i starts a new key run in a SORTED
     column (index 0 always True). Arrow slice-compare — works for any
@@ -234,9 +227,7 @@ def sessionize(
     ts_col: str,
     gap: "_dt.timedelta | int",
     *,
-    num_buckets: int | None = None,
-    rows_per_bucket: int = _ROWS_PER_BUCKET,
-    min_buckets: int = _MIN_BUCKETS,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """Gap-based sessionization: consecutive events of the same key
     belong to one session while the inter-event gap is ≤ ``gap``.
@@ -246,18 +237,15 @@ def sessionize(
     window-function formulation (SUM of gap-breaks OVER key ORDER BY
     ts).
 
-    Partitioning: events shuffle once to ``hash(key) % num_buckets``;
-    all events of one key land in one bucket, so sessions never span
-    tasks. ``num_buckets`` defaults to the B4 data-scaled rule
-    ``max(min_buckets, ceil(rows / rows_per_bucket))`` via
-    ``ds.count()`` — metadata-only on a plain parquet read; pass
-    ``num_buckets`` explicitly on a derived dataset to skip the
-    counting pass. Results are bucket-count-invariant (tested)."""
+    Partitioning: events move once through ``runtime.keyed_exchange``
+    on ``hashing.bucket_ids(key) % num_buckets``; all events of one key
+    land in one bucket and a bucket in one sorted block, so sessions
+    never span tasks. The exchange sizes its fold tasks from the row
+    count; ``num_buckets`` is only the hash modulus. Results are
+    bucket-count-invariant (tested)."""
     gap_us = _us(gap)
     if gap_us < 0:
         raise ValueError("gap must be non-negative")
-    if num_buckets is None:
-        num_buckets = max(min_buckets, math.ceil(ds.count() / rows_per_bucket))
 
     def bucketize(t: pa.Table) -> pa.Table:
         t = _drop_null_ts(t, ts_col)
@@ -265,7 +253,7 @@ def sessionize(
             {
                 key_col: t[key_col],
                 ts_col: t[ts_col],
-                "__bucket": pa.array(_bucket_ids(t[key_col], num_buckets)),
+                "__bucket": pa.array(bucket_ids([t[key_col]], num_buckets)),
             }
         )
 
@@ -311,11 +299,7 @@ def sessionize(
             }
         )
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, "__bucket", per_bucket, bucketize)
 
 
 def cumulative(
@@ -324,9 +308,7 @@ def cumulative(
     order_cols: Sequence[str],
     val_col: str,
     *,
-    num_buckets: int | None = None,
-    rows_per_bucket: int = _ROWS_PER_BUCKET,
-    min_buckets: int = _MIN_BUCKETS,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """Per-key RUNNING aggregate in ``order_cols`` order — the SQL
     window frame ``ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW``:
@@ -338,16 +320,13 @@ def cumulative(
     same requirement the SQL formulation has.
 
     Partitioning: same single key-hash shuffle as ``sessionize`` —
-    every row of one key lands in one bucket task, segments are
-    restored by an Arrow sort + vectorized numpy pass, and
-    ``num_buckets`` follows the B4 data-scaled rule. The running sum
+    every row of one key lands in one fold block, and segments are
+    restored by an Arrow sort + vectorized numpy pass. The running sum
     is a cumsum with per-segment base subtraction (float64; max
-    cancellation error ~ total-bucket-sum x 1e-16, far below the
+    cancellation error ~ total-block-sum x 1e-16, far below the
     6-decimal comparison grain). Rows with a NULL key or NULL order
     column are dropped (SQL window rows with NULL keys form their own
     partition; callers needing that pass a filled key)."""
-    if num_buckets is None:
-        num_buckets = max(min_buckets, math.ceil(ds.count() / rows_per_bucket))
     order_cols = list(order_cols)
 
     def bucketize(t: pa.Table) -> pa.Table:
@@ -356,7 +335,7 @@ def cumulative(
             m = pc.and_(m, pc.is_valid(t[oc]))
         t = t.filter(m).select([key_col, *order_cols, val_col])
         return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t[key_col], num_buckets))
+            "__bucket", pa.array(bucket_ids([t[key_col]], num_buckets))
         )
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -390,11 +369,7 @@ def cumulative(
             "cum_n", pa.array(cum_n, type=pa.int64())
         ).append_column("cum_sum", pa.array(cum_sum, type=pa.float64()))
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, "__bucket", per_bucket, bucketize)
 
 
 def rolling(
@@ -404,9 +379,7 @@ def rolling(
     val_col: str,
     *,
     frame_rows: int,
-    num_buckets: int | None = None,
-    rows_per_bucket: int = _ROWS_PER_BUCKET,
-    min_buckets: int = _MIN_BUCKETS,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """Per-key MOVING aggregate over the last ``frame_rows`` rows in
     ``order_cols`` order — the SQL window frame ``ROWS BETWEEN
@@ -420,17 +393,14 @@ def rolling(
     ambiguous.
 
     Partitioning: identical single key-hash shuffle as ``cumulative`` —
-    all rows of one key land in one bucket task so frames never cross
-    tasks; ``num_buckets`` follows the B4 data-scaled rule and results
-    are bucket-count-invariant. The frame sum is a difference of two
+    all rows of one key land in one fold block so frames never cross
+    tasks, and results are bucket-count-invariant. The frame sum is a difference of two
     cumsum reads (``cs0[i+1] - cs0[lo]`` where ``lo`` is the frame
-    start clamped to the key's segment start) — O(n) per bucket, no
+    start clamped to the key's segment start) — O(n) per block, no
     per-window loop. Rows with a NULL key or NULL order column are
     dropped (documented in ``cumulative``)."""
     if frame_rows < 1:
         raise ValueError("frame_rows must be >= 1")
-    if num_buckets is None:
-        num_buckets = max(min_buckets, math.ceil(ds.count() / rows_per_bucket))
     order_cols = list(order_cols)
 
     def bucketize(t: pa.Table) -> pa.Table:
@@ -439,7 +409,7 @@ def rolling(
             m = pc.and_(m, pc.is_valid(t[oc]))
         t = t.filter(m).select([key_col, *order_cols, val_col])
         return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t[key_col], num_buckets))
+            "__bucket", pa.array(bucket_ids([t[key_col]], num_buckets))
         )
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -474,11 +444,7 @@ def rolling(
             "roll_n", pa.array(roll_n, type=pa.int64())
         ).append_column("roll_sum", pa.array(roll_sum, type=pa.float64()))
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, "__bucket", per_bucket, bucketize)
 
 
 def rolling_time(
@@ -488,9 +454,7 @@ def rolling_time(
     val_col: str,
     *,
     window: "_dt.timedelta | str | int",
-    num_buckets: int | None = None,
-    rows_per_bucket: int = _ROWS_PER_BUCKET,
-    min_buckets: int = _MIN_BUCKETS,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """Per-key MOVING aggregate over a TIME window — the SQL frame
     ``RANGE BETWEEN <window> PRECEDING AND CURRENT ROW`` ordered by one
@@ -505,7 +469,7 @@ def rolling_time(
     "15min"), or int microseconds.
 
     Partitioning: same single key-hash shuffle as ``rolling``. Inside a
-    bucket the frame bounds are TWO vectorized ``searchsorted`` passes
+    sorted block the frame bounds are TWO vectorized ``searchsorted`` passes
     over a per-segment-shifted int64 timeline (each key segment gets a
     disjoint shifted range, so one global binary search respects
     segment boundaries); an overflow guard falls back to a per-segment
@@ -518,14 +482,12 @@ def rolling_time(
         win_us = _us(window)
     if win_us < 0:
         raise ValueError("window must be non-negative")
-    if num_buckets is None:
-        num_buckets = max(min_buckets, math.ceil(ds.count() / rows_per_bucket))
 
     def bucketize(t: pa.Table) -> pa.Table:
         m = pc.and_(pc.is_valid(t[key_col]), pc.is_valid(t[ts_col]))
         t = t.filter(m).select([key_col, ts_col, val_col])
         return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t[key_col], num_buckets))
+            "__bucket", pa.array(bucket_ids([t[key_col]], num_buckets))
         )
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -572,11 +534,7 @@ def rolling_time(
             "roll_n", pa.array(roll_n, type=pa.int64())
         ).append_column("roll_sum", pa.array(roll_sum, type=pa.float64()))
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, "__bucket", per_bucket, bucketize)
 
 
 def lagged(
@@ -587,9 +545,7 @@ def lagged(
     *,
     offset: int = 1,
     out_col: str | None = None,
-    num_buckets: int | None = None,
-    rows_per_bucket: int = _ROWS_PER_BUCKET,
-    min_buckets: int = _MIN_BUCKETS,
+    num_buckets: int = 256,
 ) -> "ray.data.Dataset":
     """Per-key shifted value in ``order_cols`` order — the SQL window
     functions ``LAG(val, offset)`` (``offset > 0``) and
@@ -606,15 +562,13 @@ def lagged(
     be one of the key/order columns.
 
     Partitioning: identical single key-hash shuffle as ``sessionize`` /
-    ``cumulative`` — all rows of one key land in one bucket task, so
-    shifts never cross tasks; ``num_buckets`` follows the B4
-    data-scaled rule and results are bucket-count-invariant. Rows with
+    ``cumulative`` — all rows of one key land in one fold block, so
+    shifts never cross tasks, and results are bucket-count-invariant.
+    Rows with
     a NULL key or NULL order column are dropped (documented in
     ``cumulative``)."""
     if offset == 0:
         raise ValueError("offset must be non-zero (0 is the row itself)")
-    if num_buckets is None:
-        num_buckets = max(min_buckets, math.ceil(ds.count() / rows_per_bucket))
     order_cols = list(order_cols)
     name = out_col or (f"lag_{val_col}" if offset > 0 else f"lead_{val_col}")
     keep = list(dict.fromkeys([key_col, *order_cols, val_col]))
@@ -625,7 +579,7 @@ def lagged(
             m = pc.and_(m, pc.is_valid(t[oc]))
         t = t.filter(m).select(keep)
         return t.append_column(
-            "__bucket", pa.array(_bucket_ids(t[key_col], num_buckets))
+            "__bucket", pa.array(bucket_ids([t[key_col]], num_buckets))
         )
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -652,11 +606,7 @@ def lagged(
         shifted = g[val_col].combine_chunks().take(take_idx)
         return g.select(keep).append_column(name, shifted)
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, "__bucket", per_bucket, bucketize)
 
 
 def _ord_int64(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:

@@ -635,14 +635,14 @@ class ValidationResult:
     ``MapBatches(project_sort_fold)``, in a union with the other
     parts), materialized once, with the same ``stats()``.
 
-    Every row check, refint check with a parent and fused check gets
-    a verdict: one with no verdict partial, because no row reached its
-    partial, gets a zero one at partition 0 (nothing checked, no
-    violation). A 0-row input gives none of them a partial, since Ray
-    calls no map on an empty block. The kinds with a pass of their own
-    (constraints_dist.OWN_PASS_KINDS) are left as they are: drift
-    reports under per-column ids, so a missing id does not mean an
-    empty input."""
+    Every row check, refint check with a parent, fused check and
+    monotonic, reconcile, freshness and quantile_bounds check gets a
+    verdict: one with no verdict row, because no row reached its
+    partial or fold, gets a zero one at partition 0 (nothing checked,
+    no violation). A 0-row input gives none of them a row, since Ray
+    calls no map on an empty block. drift and group_drift are left as
+    they are: they report under per-column ids, so a missing check id
+    does not mean an empty input."""
 
     def __init__(
         self,
@@ -1018,12 +1018,15 @@ def validate(
     # metadata — no data pass)
     if cs.declared_schema is not None:
         rest.append(ray.data.from_arrow(schema_congruence_rows(ds.schema().base_schema, cs)))
-    # the checks decided from the row pass's partials (a refint check
-    # without a parent does not run): one with no partial saw no row
+    # the checks that report under their own id (a refint check without
+    # a parent does not run; drift and group_drift report per column):
+    # one with no verdict saw no row
     checks = [c.constraint_id for c in cs.row_checks] + [
         d.constraint_id
         for d in cs.dist_checks
-        if d.kind in cd.FUSED_KINDS or d.constraint_id in broadcast_refs.keys() | refint_fused.keys()
+        if d.kind in cd.FUSED_KINDS
+        or d.constraint_id in broadcast_refs.keys() | refint_fused.keys()
+        or (d.kind in cd.OWN_PASS_KINDS and d.kind not in ("drift", "group_drift"))
     ]
 
     def union(head: "ray.data.Dataset", parts: list) -> "ray.data.Dataset":

@@ -76,8 +76,8 @@ def q_window_sliding(sf_dir: str):
 
 # ---------------------------------------------------------------------------
 # B18 session windows: gap-based sessionization (30-min inactivity)
-# via the library operator (vald.ops.windows.sessionize) — data-scaled
-# bucket count (B4 rule), results bucket-count-invariant
+# via the library operator (vald.ops.windows.sessionize) — one keyed
+# exchange sized from the row count, results bucket-count-invariant
 # ---------------------------------------------------------------------------
 
 

@@ -57,12 +57,13 @@ def nonempty_blocks(mds, empty_like=None):
     """Strip a MATERIALIZED dataset's 0-row blocks before a
     ``Dataset.join``.
 
-    Ray 2.49's sort-based groupby (``bucketed_group_agg``'s combine)
-    emits SCHEMA-LESS 0-row blocks for empty group partitions; feeding
-    them to the hash-shuffle join makes an aggregator finalize against
-    a no-column table and acero dies with ``No match ... for key field
-    reference`` (the per-block sibling of ``barrier_nonempty``'s
-    all-empty case; observed in-sandbox joining a bucketed vocabulary).
+    Ray 2.49's sort-based groupby and a ``keyed_exchange`` with more
+    than one fold task emit SCHEMA-LESS 0-row blocks for empty sort
+    partitions; feeding them to the hash-shuffle join makes an
+    aggregator finalize against a no-column table and acero dies with
+    ``No match ... for key field reference`` (the per-block sibling of
+    ``barrier_nonempty``'s all-empty case; observed in-sandbox joining a
+    bucketed vocabulary).
     This is pure object-store REF surgery — block refs are re-listed,
     never pulled to the driver or copied — so it is free at any scale.
     If every block is empty, returns a one-block dataset built from
@@ -642,19 +643,22 @@ def bucketed_group_agg(
     aggs: "list[tuple[str, str]]",
     num_buckets: int = 256,
 ):
-    """EXACT grouped aggregation over a high-cardinality key, shaped as
-    hash-bucket shuffle + vectorized ``pa.Table.group_by`` combine.
+    """EXACT grouped aggregation over a high-cardinality key: one
+    ``keyed_exchange`` on a hash bucket of the key, then a vectorized
+    ``pa.Table.group_by`` combine of each sorted block.
 
     Ray 2.49's ``groupby(key).aggregate(...)`` range-partitions on the
     RAW key (sample + sort) and merges per named aggregate in Python —
     measured ~10x slower than this shape at high key cardinality
     (2.4M distinct string keys, 8 cpus: 77 s vs 8 s; see
-    ``jaccard_pairs_ds`` stage 1). Here the exchange is the same bytes
-    but keyed by a small int32 hash bucket, and each bucket's combine
-    is one Arrow hash-aggregate kernel.
+    ``jaccard_pairs_ds`` stage 1). Here the exchange is keyed by a small
+    int32 hash bucket, its fan-out comes from the row count, and each
+    block's combine is one Arrow hash-aggregate kernel on the real key,
+    so a block may hold any number of buckets. ``num_buckets`` is only
+    the hash modulus.
 
     The caller supplies COMBINABLE partials: every (col, fn) in
-    ``aggs`` is re-applied per bucket, so feed pre-aggregated batches
+    ``aggs`` is re-applied per block, so feed pre-aggregated batches
     whose fn is its own combiner (sum of sums, min of mins, max of
     maxes; count partials must arrive as a column combined with
     "sum"). Output columns keep their input names. Grouping is exact —
@@ -677,11 +681,7 @@ def bucketed_group_agg(
         r = g.group_by(key_list, use_threads=False).aggregate(aggs)
         return r.rename_columns(out_names)
 
-    return (
-        ds.map_batches(stamp, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__gb")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, "__gb", combine, stamp)
 
 
 # Rows per fold task. The fused partials fold at ~1.4M rows/s per task
@@ -747,6 +747,15 @@ def keyed_exchange(
     ``groupby().map_groups`` gives, without its per-bucket split or its
     one partition per input block), so a fold that is invariant to the
     bucket count sees every row of its keys at once.
+
+    It is the one hash-bucket shuffle: validate()'s fused exchange and
+    refint child keys, the monotonic, reconcile and fd routes,
+    ``bucketed_group_agg``, and the ops whose fold over a block is the
+    concatenation of its folds over each key's rows (``ops.windows``'
+    per-key windows, ``ops.joins``, ``ops.rank.group_percent_rank``,
+    ``ops.sample.select_by_budget``, ``drift.group_ks_exact``, the
+    ``ops.dedup`` exchanges outside LSH bands, the catalog's
+    ``q_waiting_orders``). Each stamps its bucket with ``project``.
 
     ``keep`` (a materialized ``parts`` only) maps the rows that bypass
     the fold into the output too, in the fold's schema: at ``k == 1``
