@@ -23,23 +23,23 @@ def entry() -> Any:
     testdata table against its bundled ConstraintSet (vald.specs) plus
     the synthetic code corpus, and return the merged verdict table."""
     import pandas as pd
-    import ray.data
 
     from vald import corpus as C
     from vald import pipeline as P
+    from vald.sources import read_source
     from vald.specs import ALL_SPECS, SPEC_COLUMNS
 
     verdicts = []
     parents = {
-        "customer": ray.data.read_parquet(
+        "customer": read_source(
             f"{SF_SMOKE}/customer.parquet", columns=["c_custkey"]
         ),
-        "orders": ray.data.read_parquet(
+        "orders": read_source(
             f"{SF_SMOKE}/orders.parquet", columns=["o_orderkey"]
         ),
     }
     for table, spec in ALL_SPECS.items():
-        ds = ray.data.read_parquet(
+        ds = read_source(
             f"{SF_SMOKE}/{table}.parquet", columns=SPEC_COLUMNS[table]
         )
         res = P.validate(ds, spec, parents=parents)
@@ -51,7 +51,7 @@ def entry() -> Any:
     # the corpus vs its own per-language baseline — no fire expected
     from vald import drift as D
 
-    docs = ray.data.read_parquet(
+    docs = read_source(
         f"{SF_SMOKE}/documents.parquet", columns=["lang", "n_chars"]
     )
     base = D.build_group_baseline(docs, "lang", ["n_chars"])
@@ -78,7 +78,7 @@ def entry() -> Any:
     # o_totalprice is NOT derived from lineitem, so every joined order
     # mismatches — exercises the kind's fire direction live (the
     # consistent-ledger null direction is tests/test_reconcile.py)
-    orders = ray.data.read_parquet(
+    orders = read_source(
         f"{SF_SMOKE}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
     )
     res = P.validate(
@@ -100,7 +100,7 @@ def entry() -> Any:
             ],
         },
         parents={
-            "lineitem": ray.data.read_parquet(
+            "lineitem": read_source(
                 f"{SF_SMOKE}/lineitem.parquet",
                 columns=["l_orderkey", "l_extendedprice"],
             )
@@ -114,7 +114,7 @@ def entry() -> Any:
     # sf0.001 the zh slice holds 19 distinct sources vs 20 for the
     # rest, so min_distinct=20 fires exactly one group violation
     # (the clean direction is tests/test_cardinality.py)
-    docs_card = ray.data.read_parquet(
+    docs_card = read_source(
         f"{SF_SMOKE}/documents.parquet", columns=["lang", "source"]
     )
     res = P.validate(

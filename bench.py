@@ -178,10 +178,9 @@ def run_bench() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    import ray.data
-
     from vald import pipeline as P
     from vald.corpus import CORPUS_SPEC
+    from vald.sources import read_source
 
     _ensure_corpus()
     _warm_cache(os.path.join(CORPUS_DIR, "corpus"))
@@ -198,9 +197,7 @@ def run_bench() -> dict:
     stages: list[dict] = []
     for _ in range(max(1, REPEATS)):
         t0 = time.monotonic()
-        ds = ray.data.read_parquet(
-            os.path.join(CORPUS_DIR, "corpus"), override_num_blocks=4 * NUM_CPUS
-        )
+        ds = read_source(os.path.join(CORPUS_DIR, "corpus"))
         res = P.validate(ds, spec, parents=parents)
         n_verd = res.verdicts_table().num_rows
         n_viol = res.violations_table().num_rows

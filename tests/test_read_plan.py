@@ -1,6 +1,7 @@
 """The plan ``read_source`` gives ``validate()``: with at least as many
 files as CPUs, one fused read + row pass task per file (no
-``SplitBlocks``) and tiny files grouped by bytes; with fewer, Ray's own
+``SplitBlocks``) and tiny files grouped by bytes; with fewer files, one
+fused task per run of row groups; with fewer row groups too, Ray's own
 split plan; and the same verdicts and violations whichever way the
 input arrives."""
 
@@ -49,6 +50,15 @@ def _write(tmp_path, n_files: int, n_rows: int) -> list[str]:
     return files
 
 
+def _write_row_groups(path, n_row_groups: int, n_rows: int = N) -> str:
+    """All ``n_rows`` rows of ``_write``'s table in one file of
+    ``n_row_groups`` row groups."""
+    t = C.gen_batch(np.arange(n_rows, dtype=np.uint64), n_rows, SEED)
+    pq.write_table(t, str(path), row_group_size=-(-n_rows // n_row_groups))
+    assert pq.read_metadata(str(path)).num_row_groups == n_row_groups
+    return str(path)
+
+
 def _operators(res) -> dict[str, int]:
     return {m["name"]: int(m["tasks"]) for m in _OP.finditer(res.combined.stats())}
 
@@ -94,6 +104,21 @@ def test_fewer_files_than_cpus_keep_rays_plan(ray_session, tmp_path, min_block_b
     assert row_pass and row_pass[0] > n_files, ops
 
 
+def test_row_groups_of_one_file_fuse_with_the_row_pass(ray_session, tmp_path):
+    """One file of 8 row groups at 4 CPUs: the read is planned by row
+    group, runs at least one fused read + row pass task per CPU, and
+    gives the verdicts and violations of a ``ray.data.read_parquet``
+    read of the same file."""
+    f = _write_row_groups(tmp_path / "one.parquet", 8)
+    res = _validate(read_source(f))
+    ops = _operators(res)
+    assert ops.get("ReadParquet->MapBatches(_TaskValidator)", 0) >= _cpus(), ops
+    assert not any("SplitBlocks" in name for name in ops), ops
+    ref = _validate(ray.data.read_parquet(f))
+    assert _sorted(res.verdicts_table()).equals(_sorted(ref.verdicts_table()))
+    assert _sorted(res.violations_table()).equals(_sorted(ref.violations_table()))
+
+
 def test_files_the_reader_skips_are_not_counted(ray_session, tmp_path, min_block_bytes):
     """A directory of jsonl files that also holds a README and a
     ``_SUCCESS`` marker: the plan counts only the files the json reader
@@ -125,13 +150,16 @@ def _sorted(t: pa.Table) -> pa.Table:
 
 
 def test_same_results_on_every_read_route(ray_session, tmp_path, min_block_bytes):
-    """``read_source``'s plan, Ray's own split plan (what a caller-built
-    ``ray.data.read_parquet`` Dataset gets) and a repartitioned
-    in-memory table give the same verdicts and violations."""
+    """``read_source``'s plan by file and by row group, Ray's own split
+    plan (what a caller-built ``ray.data.read_parquet`` Dataset gets)
+    and a repartitioned in-memory table give the same verdicts and
+    violations."""
     files = _write(tmp_path, 4, N)
     min_block_bytes(min(os.path.getsize(f) for f in files) // 2)
+    one = _write_row_groups(tmp_path / "one.parquet", 8)
     routes = {
         "read_source": read_source(files),
+        "row_groups": read_source(one),
         "read_parquet": ray.data.read_parquet(files),
         "from_arrow": ray.data.from_arrow(pq.read_table(files)).repartition(7),
     }
@@ -140,6 +168,6 @@ def test_same_results_on_every_read_route(ray_session, tmp_path, min_block_bytes
         res = _validate(ds)
         got[name] = (_sorted(res.verdicts_table()), _sorted(res.violations_table()))
     assert len(got["read_source"][1]) > 0
-    for name in ("read_parquet", "from_arrow"):
+    for name in ("row_groups", "read_parquet", "from_arrow"):
         assert got[name][0].equals(got["read_source"][0]), name
         assert got[name][1].equals(got["read_source"][1]), name

@@ -254,3 +254,121 @@ def test_filter_and_columns_over_planned_blocks(ray_session, tmp_path, monkeypat
     assert got == [(r["id"], r["score"]) for r in rows if r["score"] >= 50]
     assert ds.schema().names == ["id", "score"]
     assert "SplitBlocks" not in ds.stats()
+
+
+# ---------------------------------------------------------------------------
+# the Parquet read planned from the file footers (sources.ParquetFiles)
+# ---------------------------------------------------------------------------
+
+
+def _rows(ds) -> list:
+    return sorted(tuple(sorted(r.items())) for r in ds.take_all())
+
+
+def _scores(tmp_path, n_files: int, row_groups: int, rows: int = 40) -> list[str]:
+    """``n_files`` files of ``rows`` rows in ``row_groups`` row groups
+    each, ``id`` ascending so that row-group statistics can prune."""
+    import pyarrow.parquet as pq
+
+    files = []
+    for f in range(n_files):
+        ids = list(range(f * rows, (f + 1) * rows))
+        t = pa.table(
+            {
+                "id": pa.array(ids, type=pa.int64()),
+                "name": [f"n{i}" for i in ids],
+                "score": pa.array([(i * 37) % 100 for i in ids], type=pa.int64()),
+            }
+        )
+        p = str(tmp_path / f"part-{f}.parquet")
+        pq.write_table(t, p, row_group_size=-(-rows // row_groups))
+        files.append(p)
+    return files
+
+
+def test_parquet_count_and_schema_read_no_data(ray_session, tmp_path):
+    """``count()`` and ``schema()`` come from the footers: they still
+    answer after the files are gone, planned by file (5 files) and by
+    row group (one file); an empty directory counts 0 rows."""
+    many = _scores(tmp_path, 5, 2)
+    (tmp_path / "one").mkdir()
+    one = _scores(tmp_path / "one", 1, 8)
+    plans = [
+        (read_source(many), 200, ["id", "name", "score"]),
+        (read_source(one, columns=["score", "id"]), 40, ["score", "id"]),
+    ]
+    for f in many + one:
+        os.remove(f)
+    for ds, n, names in plans:
+        assert ds.count() == n
+        assert ds.schema().names == names
+    (tmp_path / "empty").mkdir()
+    assert read_source(str(tmp_path / "empty")).count() == 0
+
+
+@pytest.mark.parametrize("n_files", [1, 6])
+def test_parquet_columns_and_filter_match_read_parquet(ray_session, tmp_path, n_files):
+    """``columns=`` and ``filter=`` over files of several row groups,
+    read by row group (one file) and by file (six): the rows and schema
+    of ``ray.data.read_parquet`` with the same arguments."""
+    from vald.sources import build_filter
+
+    files = _scores(tmp_path, n_files, 4)
+    spec = {
+        "and": [
+            {"col": "score", "op": ">=", "value": 50},
+            {"col": "id", "op": "<", "value": 150},
+        ]
+    }
+    ds = read_source(files, columns=["score", "id"], filter=spec)
+    ref = ray.data.read_parquet(files, columns=["score", "id"], filter=build_filter(spec))
+    assert _rows(ds) == _rows(ref) != []
+    assert ds.schema().base_schema.equals(ref.schema().base_schema)
+
+
+@pytest.mark.parametrize("columns", [None, ["id", "lang"]])
+def test_parquet_hive_partitions_match_read_parquet(ray_session, tmp_path, columns):
+    """A hive-partitioned directory (``lang=py/``, ``lang=rs/``): the
+    partition value is a string column, with and without ``columns=``,
+    as ``ray.data.read_parquet`` gives it."""
+    import pyarrow.parquet as pq
+
+    for lang in ("py", "rs"):
+        d = tmp_path / f"lang={lang}"
+        d.mkdir()
+        for part in range(2):
+            ids = [part * 10 + i for i in range(5)]
+            t = pa.table({"id": ids, "n": [len(lang)] * 5})
+            pq.write_table(t, str(d / f"p{part}.parquet"))
+    ds = read_source(str(tmp_path), columns=columns)
+    ref = ray.data.read_parquet(str(tmp_path), columns=columns)
+    assert _rows(ds) == _rows(ref)
+    assert {r["lang"] for r in ds.take_all()} == {"py", "rs"}
+    assert ds.schema().base_schema.equals(ref.schema().base_schema)
+
+
+def test_parquet_missing_path_raises_like_read_parquet(ray_session, tmp_path):
+    missing = str(tmp_path / "nope.parquet")
+    with pytest.raises(Exception) as ref:
+        ray.data.read_parquet(missing)
+    with pytest.raises(ref.type):
+        read_source(missing)
+    with pytest.raises(ref.type):
+        read_source([missing])
+
+
+def test_parquet_files_of_different_schemas(ray_session, tmp_path):
+    """As with ``ray.data.read_parquet``: ``schema()`` is the first
+    file's, and each file is read with its own schema, so its rows keep
+    the columns it has."""
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({"a": [1, 2], "b": ["x", "y"]}), str(tmp_path / "p0.parquet"))
+    pq.write_table(pa.table({"a": [3], "c": [1.5]}), str(tmp_path / "p1.parquet"))
+    ds = read_source(str(tmp_path))
+    ref = ray.data.read_parquet(str(tmp_path))
+    assert ds.schema().names == ["a", "b"]
+    assert ds.schema().base_schema.equals(ref.schema().base_schema)
+    assert _rows(ds) == _rows(ref) == [
+        (("a", 1), ("b", "x")), (("a", 2), ("b", "y")), (("a", 3), ("c", 1.5))
+    ]

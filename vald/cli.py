@@ -55,7 +55,7 @@ def cmd_run(args) -> int:
     parents = {}
     for p in args.parent or []:
         name, path = p.split("=", 1)
-        parents[name] = ray.data.read_parquet(path)
+        parents[name] = read_source(path)
 
     fmt = getattr(args, "format", "parquet")
     files = sorted(globmod.glob(args.input))

@@ -62,6 +62,7 @@ from ray.data.aggregate import Sum
 
 from . import hashing
 from .ir import CompiledCheck, ConstraintSet, compile_table_spec
+from .sources import read_source
 
 __all__ = [
     "RESULT_SCHEMA",
@@ -755,10 +756,10 @@ class ValidationResult:
         return bool(pc.all(v["pass"]).as_py())
 
 
-# None = one batch per block. Over a sources.read_source input with at
-# least as many files as CPUs the row pass runs inside the read tasks,
-# and a block is one file, or a group of files of about
-# DataContext.target_min_block_size bytes in all, so the row pass sees
+# None = one batch per block. Over a sources.read_source input the row
+# pass runs inside the read tasks, and a block is what one task read:
+# one file, a group of files of about DataContext.target_min_block_size
+# bytes in all, or a run of one file's row groups, so the row pass sees
 # each block whole in the task that read it.
 DEFAULT_BATCH_SIZE = None
 
@@ -885,15 +886,15 @@ def validate(
     ``ds`` themselves.
 
     The row pass is one stateless task per block of ``ds``. Over a
-    ``sources.read_source`` input with at least as many files as the
-    cluster has CPUs, Ray fuses it into the read, so each read task
-    decodes its files and runs the row pass on them, and only the small
-    result stream enters the object store. A Dataset whose read Ray
-    splits into more blocks than files (Ray's own plan: any
-    ``ray.data.read_parquet`` Dataset with fewer files than that plan
-    wants blocks, and ``read_source`` with fewer files than CPUs) does
-    not fuse: its blocks pass through the object store and the row
-    pass runs one task per block, spread over every CPU.
+    ``sources.read_source`` input Ray fuses it into the read, so each
+    read task decodes its files (or, with fewer files than the cluster
+    has CPUs, its run of row groups) and runs the row pass on them, and
+    only the small result stream enters the object store. A Dataset
+    whose read Ray splits into more blocks than read tasks (Ray's own
+    plan: any ``ray.data.read_parquet`` Dataset with fewer files than
+    that plan wants blocks, and ``read_source`` with fewer row groups
+    than CPUs) does not fuse: its blocks pass through the object store
+    and the row pass runs one task per block, spread over every CPU.
 
     ``parents`` maps refint parent_table name → its key source (Dataset /
     Arrow table / list of keys; a list is planned as an Arrow table).
@@ -935,7 +936,7 @@ def validate(
         pt = dist.params["parent_table"]
         src = (parents or {}).get(pt) if pt else None
         if src is None and dist.params["parent_path"]:
-            src = ray.data.read_parquet(
+            src = read_source(
                 dist.params["parent_path"], columns=list(dist.params["parent_columns"])
             )
         if src is None:

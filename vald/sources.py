@@ -1,25 +1,39 @@
-"""Input sources beyond Parquet (B1 breadth): JSONL and CSV readers
-with the same column-pruning discipline where the format allows it.
+"""Input sources: Parquet, JSONL and CSV read as Datasets with the same
+column-pruning and filter discipline wherever the format allows it.
 
-Parquet stays the scale format (columnar, prunable, row-group
-filterable); JSONL is the native interchange format of the reference's
-world (per-line JSON documents), CSV the lowest common denominator.
-Both decode whole rows (row-oriented formats cannot prune at the
-storage layer), so ``columns=`` prunes right after decode — the batch
-that leaves the read stage carries only what the pipeline needs.
+Parquet is the scale format (columnar, prunable, row-group
+filterable). vald plans its read itself (``ParquetFiles``, a Ray
+``Datasource``) from one listing of the files and one footer read per
+file: the footers give each read task its rows, bytes and schema, and
+the row groups to split a read into when there are fewer files than
+CPUs. JSONL is the native interchange format of the reference's world
+(per-line JSON documents), CSV the lowest common denominator; both go
+through Ray's readers and decode whole rows (row-oriented formats
+cannot prune at the storage layer), so ``columns=`` prunes right after
+decode — the batch that leaves the read stage carries only what the
+pipeline needs.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
+import itertools
 import os
+import posixpath
+from collections.abc import Iterator
+from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.fs as pafs
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor, BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 __all__ = ["read_source", "jsonl_documents", "build_filter"]
 
@@ -72,48 +86,197 @@ def build_filter(spec) -> "pads.Expression":
     return _OPS[op](pads.field(spec["col"]), spec.get("value"))
 
 
-def _read_blocks(paths: str | list[str], reader) -> dict:
-    """``override_num_blocks`` for ``reader`` over ``paths``, from one
-    listing of its files: a file as given, a directory walked
-    recursively, skipping names without one of the reader's default
-    ``file_extensions`` and names under the directory that start with
-    ``.`` or ``_`` (Ray skips those only for some spellings of the
-    path; a file left out asks for fewer blocks, never a split). The
-    plan asks for one block per ``target_min_block_size`` of file
-    bytes, at most one per file, and only when there are at least as
-    many files as cluster CPUs; otherwise ``{}``, Ray's own plan.
-
-    Ray splits a read's output (``SplitBlocks``) to reach more blocks
-    than read tasks; a read that asks for no more blocks than files is
-    not split, so the map that follows fuses into the read tasks. Many
-    tiny files still share a task. With fewer files than CPUs that
-    would leave CPUs idle, and Ray's plan (at least ``2 x CPUs``
-    blocks, split after the read) spreads the map over them instead. A
-    missing path counts as a file of 0 bytes; the reader reports it."""
-    exts = inspect.signature(reader).parameters["file_extensions"].default
-    exts = None if exts is None else tuple("." + e.lower() for e in exts)
-    sizes = []
+def _list_files(paths: str | list[str], exts: tuple[str, ...] | None = None) -> list:
+    """``(filesystem, path, bytes)`` of every file read from ``paths``,
+    from one listing: a file as given, a directory walked recursively
+    in path order, skipping names under it that start with ``.`` or
+    ``_``, as Ray's readers do, and with ``exts`` set, names without one
+    of those extensions. A missing path raises ``FileNotFoundError``, as
+    Ray's readers do."""
+    out = []
     for p in [paths] if isinstance(paths, str) else paths:
         try:
             fs, path = pafs.FileSystem.from_uri(p)
         except pa.ArrowInvalid:  # a plain local path, not a URI
             fs, path = pafs.LocalFileSystem(), os.path.abspath(p)
         info = fs.get_file_info(path)
-        if info.type != pafs.FileType.Directory:
-            found = [(info.path, info.size or 0)]
-        else:
-            found = [
-                (f.path, f.size)
-                for f in fs.get_file_info(pafs.FileSelector(path, recursive=True))
-                if f.is_file
-                and not f.path[len(path) :].lstrip("/").startswith((".", "_"))
-            ]
-        sizes += [n for f, n in found if exts is None or f.lower().endswith(exts)]
+        if info.type == pafs.FileType.NotFound:
+            raise FileNotFoundError(p)
+        found = [info]
+        if info.type == pafs.FileType.Directory:
+            found = sorted(
+                (
+                    f
+                    for f in fs.get_file_info(pafs.FileSelector(path, recursive=True))
+                    if f.is_file
+                    and not f.path[len(path) :].lstrip("/").startswith((".", "_"))
+                ),
+                key=lambda f: f.path,
+            )
+        out += [
+            (fs, f.path, f.size or 0)
+            for f in found
+            if exts is None or f.path.lower().endswith(exts)
+        ]
+    return out
+
+
+def _cpus() -> int:
     cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
-    if not sizes or len(sizes) < cpus:
+    return max(1, int(cpus))
+
+
+def _num_blocks(units: int, nbytes: int, cpus: int, floor: int = 1) -> dict:
+    """``override_num_blocks`` for a read of ``units`` pieces holding
+    ``nbytes`` of files: one block per ``target_min_block_size`` bytes,
+    at least ``floor`` and at most one per piece, so that Ray need not
+    split a read task's output to reach the count (it still splits a
+    task it estimates above ``target_max_block_size``). ``{}``, Ray's
+    own split plan (see ``read_source``), with fewer pieces than CPUs."""
+    if not units or units < cpus:
         return {}
     per_block = ray.data.DataContext.get_current().target_min_block_size
-    return {"override_num_blocks": min(len(sizes), max(1, -(-sum(sizes) // per_block)))}
+    return {"override_num_blocks": min(units, max(floor, -(-nbytes // per_block)))}
+
+
+class _Piece(NamedTuple):
+    """Row groups of one Parquet file that one read task reads together:
+    all of them, or one when the read is planned by row group."""
+
+    fs: pafs.FileSystem
+    path: str
+    row_groups: list[int]
+    partitions: dict[str, str]  # hive ``k=v`` directories of ``path``
+    num_rows: int
+    nbytes: int  # uncompressed bytes of the columns read, from the footer
+
+
+class ParquetFiles(Datasource):
+    """A Parquet read planned from one listing and the files' footers.
+
+    Each piece is a whole file or, when there are fewer files than
+    CPUs, one row group; a read task takes a run of consecutive pieces.
+    Each task carries its rows, bytes, files and the schema from the
+    footers, so ``count()`` and ``schema()`` read no data, and reads
+    its pieces with ``columns=`` and ``filter=`` pushed into the
+    fragment scan, so row-group statistics still skip I/O. The operator
+    is named ``ReadParquet``, as a ``ray.data.read_parquet`` read is."""
+
+    def __init__(self, pieces: list[_Piece], schema, columns, expr):
+        self._pieces = pieces
+        self._schema = schema
+        self._columns = columns
+        self._expr = expr
+        # batches of about a tenth of a block, as read_parquet sizes them
+        rows = sum(p.num_rows for p in pieces)
+        max_block = ray.data.DataContext.get_current().target_max_block_size
+        self._scan = {}
+        if rows and max_block:
+            per_row = max(1.0, self.estimate_inmemory_data_size() / rows)
+            self._scan = {"batch_size": max(1, int(max_block / 10 / per_row))}
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(p.nbytes for p in self._pieces)
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        pieces = self._pieces
+        if not pieces:
+            return []
+        tasks = []
+        for idx in np.array_split(np.arange(len(pieces)), min(parallelism, len(pieces))):
+            group = [pieces[i] for i in idx]
+            meta = BlockMetadata(
+                num_rows=None if self._expr is not None else sum(p.num_rows for p in group),
+                size_bytes=sum(p.nbytes for p in group),
+                input_files=list(dict.fromkeys(p.path for p in group)),
+                exec_stats=None,
+            )
+            read = functools.partial(
+                _read_pieces, group, self._columns, self._expr, self._scan
+            )
+            tasks.append(ReadTask(read, meta, schema=self._schema))
+        return tasks
+
+
+def _read_pieces(pieces: list[_Piece], columns, expr, scan: dict) -> Iterator[pa.Table]:
+    """The read task of ``ParquetFiles``: one fragment scan per file,
+    its hive partition values appended as string columns where the file
+    lacks them."""
+    fmt = pads.ParquetFileFormat()
+    for path, run in itertools.groupby(pieces, key=lambda p: p.path):
+        run = list(run)
+        frag = fmt.make_fragment(
+            path, run[0].fs, row_groups=[g for p in run for g in p.row_groups]
+        )
+        names = frag.physical_schema.names
+        parts = {
+            k: v
+            for k, v in run[0].partitions.items()
+            if k not in names and (columns is None or k in columns)
+        }
+        for batch in frag.to_batches(
+            columns=None if columns is None else [c for c in columns if c in names],
+            filter=expr,
+            use_threads=False,
+            **scan,
+        ):
+            if not batch.num_rows:
+                continue
+            t = pa.Table.from_batches([batch])
+            for k, v in parts.items():
+                t = BlockAccessor.for_block(t).fill_column(k, v)
+            yield t if columns is None else t.select(columns)
+
+
+def _read_parquet(paths: str | list[str], columns, expr) -> "ray.data.Dataset":
+    """``ParquetFiles`` over ``paths``: one footer read per file; whole
+    files as pieces, or row groups when there are fewer files than
+    CPUs, so that the read can still give every CPU a task."""
+    files = _list_files(paths)
+    cpus = _cpus()
+    by_row_group = len(files) < cpus
+    pieces, schema = [], None
+    for fs, path, _ in files:
+        md = pq.read_metadata(path, filesystem=fs)
+        # hive partitions, parsed as read_parquet's default partitioning does
+        dirs = posixpath.dirname(path).split("/")
+        parts = dict(d.split("=") for d in dirs if d.count("=") == 1)
+        if schema is None:  # the first file's, as read_parquet's
+            schema = md.schema.to_arrow_schema()
+            for k in parts:
+                if k not in schema.names:
+                    schema = schema.append(pa.field(k, pa.string()))
+            if columns is not None:
+                schema = pa.schema([schema.field(c) for c in columns], schema.metadata)
+        n = md.num_row_groups
+        for run in [[g] for g in range(n)] if by_row_group else [list(range(n))]:
+            rgs = [md.row_group(g) for g in run]
+            pieces.append(
+                _Piece(
+                    fs,
+                    path,
+                    run,
+                    parts,
+                    sum(rg.num_rows for rg in rgs),
+                    sum(_uncompressed(rg, columns) for rg in rgs),
+                )
+            )
+    nbytes = sum(size for _, _, size in files)
+    blocks = _num_blocks(len(pieces), nbytes, cpus, floor=cpus if by_row_group else 1)
+    return ray.data.read_datasource(ParquetFiles(pieces, schema, columns, expr), **blocks)
+
+
+def _uncompressed(rg, columns) -> int:
+    """Uncompressed bytes of row group ``rg``, of ``columns`` only when set."""
+    if columns is None:
+        return rg.total_byte_size
+    cols = (rg.column(j) for j in range(rg.num_columns))
+    return sum(
+        c.total_uncompressed_size for c in cols if c.path_in_schema.split(".")[0] in columns
+    )
 
 
 def read_source(
@@ -125,43 +288,47 @@ def read_source(
 ) -> "ray.data.Dataset":
     """Read ``paths`` in the given format as a Dataset of Arrow batches.
 
-    - parquet: storage-level column pruning via ``columns=`` AND
-      predicate pushdown via ``filter=`` (an Expression or
-      ``build_filter`` spec) — row-group statistics skip IO before
-      decode.
-    - jsonl / csv: full-row decode (inherent to the format), then an
-      immediately-fused filter + ``select_columns`` so only matching
-      rows / requested columns enter the object store. Same semantics,
-      applied post-decode (these formats carry no row statistics).
+    - parquet: a ``ParquetFiles`` read, planned by vald from one listing
+      of the files and one footer read per file, with storage-level
+      column pruning via ``columns=`` and predicate pushdown via
+      ``filter=`` (an Expression or ``build_filter`` spec): row-group
+      statistics skip IO before decode. ``count()`` and ``schema()``
+      come from the footers without reading data (``count()`` only
+      without ``filter=``). Hive ``k=v`` directories add string
+      columns, as ``ray.data.read_parquet`` does. Files whose schemas
+      differ behave as with ``read_parquet``: ``schema()`` is the first
+      file's, and each file is read with its own schema, so its rows
+      keep the columns and types it has (Ray logs a schema change).
+    - jsonl / csv: Ray's readers. Full-row decode (inherent to the
+      format), then an immediately-fused filter + ``select_columns`` so
+      only matching rows / requested columns enter the object store.
+      Same semantics, applied post-decode (these formats carry no row
+      statistics).
 
-    When the input has at least as many files as the cluster has CPUs,
-    the read is planned from its files (``_read_blocks``): at most one
-    block per file and per ``DataContext.target_min_block_size`` bytes
-    of files. Ray then fuses the maps that follow (the post-decode
-    filter here, ``validate()``'s row pass) into the read tasks, so
-    the decoded input never passes through the object store between
-    read and row pass, and every CPU still has a file to read. With
-    fewer files than CPUs (one checkpoint shard, a few large files)
-    the read keeps Ray's own plan: at least ``2 × CPUs`` blocks (up to
-    200, one per ``target_min_block_size`` of decoded bytes), got by
-    splitting each file's read output, so the row pass spreads over
-    every CPU at the cost of a pass of the decoded input through the
-    object store. A Dataset built with ``ray.data.read_parquet`` always
-    keeps Ray's plan.
+    The read is planned so that Ray fuses the maps that follow (the
+    post-decode filter here, ``validate()``'s row pass) into the read
+    tasks, and the decoded input never passes through the object store
+    between read and row pass: at most one task per piece and one per
+    ``DataContext.target_min_block_size`` of file bytes. A piece is a
+    file; for Parquet with fewer files than the cluster has CPUs (one
+    checkpoint shard, a few large files) it is a row group, and the
+    read has at least one task per CPU. With fewer pieces than CPUs
+    (jsonl or csv in fewer files than CPUs, Parquet in fewer row groups
+    than CPUs) the read keeps Ray's own plan: at least ``2 × CPUs``
+    blocks, got by splitting each task's read output, so the row pass
+    spreads over every CPU at the cost of a pass of the decoded input
+    through the object store. A missing path raises
+    ``FileNotFoundError``.
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown source format {format!r}; one of {_FORMATS}")
     expr = None if filter is None else build_filter(filter)
-    reader = {
-        "parquet": ray.data.read_parquet,
-        "jsonl": ray.data.read_json,
-        "csv": ray.data.read_csv,
-    }[format]
-    blocks = _read_blocks(paths, reader)
     if format == "parquet":
-        kwargs = {} if expr is None else {"filter": expr}
-        return reader(paths, columns=columns, **kwargs, **blocks)
-    ds = reader(paths, **blocks)
+        return _read_parquet(paths, columns, expr)
+    reader = ray.data.read_json if format == "jsonl" else ray.data.read_csv
+    exts = inspect.signature(reader).parameters["file_extensions"].default
+    files = _list_files(paths, None if exts is None else tuple("." + e.lower() for e in exts))
+    ds = reader(paths, **_num_blocks(len(files), sum(n for _, _, n in files), _cpus()))
     if expr is not None:
         ds = ds.map_batches(
             lambda t, e=expr: t.filter(e),
