@@ -372,3 +372,126 @@ def test_parquet_files_of_different_schemas(ray_session, tmp_path):
     assert _rows(ds) == _rows(ref) == [
         (("a", 1), ("b", "x")), (("a", 2), ("b", "y")), (("a", 3), ("c", 1.5))
     ]
+
+
+def _hive(tmp_path) -> str:
+    """``lang=py/`` and ``lang=rs/``, two files of 5 rows in each."""
+    import pyarrow.parquet as pq
+
+    for lang in ("py", "rs"):
+        d = tmp_path / f"lang={lang}"
+        d.mkdir()
+        for part in range(2):
+            ids = [part * 10 + i for i in range(5)]
+            pq.write_table(pa.table({"id": ids, "n": [len(lang)] * 5}), str(d / f"p{part}.parquet"))
+    return str(tmp_path)
+
+
+def test_parquet_hive_partitions_with_filter(ray_session, tmp_path):
+    """``filter=`` over a hive-partitioned directory: on a data column,
+    the rows of ``ray.data.read_parquet`` with the same filter; on the
+    partition column (which ``read_parquet`` rejects, its scan not
+    knowing the column), the rows of the partitions it selects."""
+    from vald.sources import build_filter
+
+    root = _hive(tmp_path)
+    on_data = {"col": "id", "op": ">=", "value": 3}
+    ds = read_source(root, columns=["id", "lang"], filter=on_data)
+    ref = ray.data.read_parquet(root, columns=["id", "lang"], filter=build_filter(on_data))
+    assert _rows(ds) == _rows(ref) != []
+    on_part = {"and": [{"col": "lang", "op": "==", "value": "rs"}, on_data]}
+    everything = _rows(ray.data.read_parquet(root))
+    want = [r for r in everything if dict(r)["lang"] == "rs" and dict(r)["id"] >= 3]
+    assert _rows(read_source(root, filter=on_part)) == want != []
+    assert _rows(read_source(root, columns=["id"], filter=on_part)) == [
+        (("id", dict(r)["id"]),) for r in want
+    ]
+
+
+def test_parquet_filter_on_a_column_one_file_lacks(ray_session, tmp_path):
+    """A filter on a column that one of the files has no column for
+    fails as a ``ray.data.read_parquet`` read does, with Arrow's error
+    naming the column."""
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({"a": [1, 2], "b": ["x", "y"]}), str(tmp_path / "p0.parquet"))
+    pq.write_table(pa.table({"a": [3], "c": [1.5]}), str(tmp_path / "p1.parquet"))
+    spec = {"col": "c", "op": ">", "value": 1.0}
+    for read in (
+        lambda: read_source(str(tmp_path), filter=spec).take_all(),
+        lambda: ray.data.read_parquet(str(tmp_path), filter=pa.dataset.field("c") > 1.0).take_all(),
+    ):
+        with pytest.raises(pa.ArrowInvalid, match=r"No match for FieldRef.Name\(c\)"):
+            read()
+
+
+def test_parquet_batches_follow_decoded_size(tmp_path):
+    """A dictionary-encoded column decodes to ~37 times its footer size.
+    The read task's first scan, sized from the footer, decodes batches
+    far above the target and yields them in slices of about the target;
+    every later scan is sized from the bytes per row it measured. No
+    table the task yields is above the target."""
+    import numpy as np
+    import pyarrow.fs as pafs
+    import pyarrow.parquet as pq
+
+    from vald import sources
+
+    n, groups, target = 200_000, 8, 64 * 1024
+    langs = np.array(["python", "rust", "go", "javascript"])
+    p = str(tmp_path / "dict.parquet")
+    pq.write_table(pa.table({"lang": langs[np.arange(n) % 4]}), p, row_group_size=n // groups)
+    md = pq.read_metadata(p)
+    assert "RLE_DICTIONARY" in md.row_group(0).column(0).encodings
+    pieces = [
+        sources._Piece(
+            pafs.LocalFileSystem(),
+            p,
+            os.path.getsize(p),
+            [g],
+            {},
+            md.row_group(g).num_rows,
+            md.row_group(g).total_byte_size,
+        )
+        for g in range(groups)
+    ]
+    sizes = [t.nbytes for t in sources._read_pieces(pieces, None, None, target)]
+    assert sum(sizes) > 30 * md.row_group(0).total_byte_size * groups
+    assert max(sizes) <= 1.05 * target
+    assert sorted(sizes)[len(sizes) // 2] >= 0.9 * target
+
+
+def test_footers_of_remote_files_are_read_concurrently(tmp_path):
+    """On a filesystem other than the local disk each footer read is a
+    round trip, so ``_footers`` overlaps them; it gives the footers a
+    serial read gives, in file order."""
+    import threading
+    import time
+
+    import pyarrow.fs as pafs
+    import pyarrow.parquet as pq
+    from fsspec.implementations.local import LocalFileSystem
+
+    from vald import sources
+
+    lock, open_now, most = threading.Lock(), [0], [0]
+
+    class Slow(LocalFileSystem):
+        def _open(self, *args, **kwargs):
+            with lock:
+                open_now[0] += 1
+                most[0] = max(most[0], open_now[0])
+            time.sleep(0.02)
+            with lock:
+                open_now[0] -= 1
+            return super()._open(*args, **kwargs)
+
+    fs = pafs.PyFileSystem(pafs.FSSpecHandler(Slow()))
+    files = []
+    for i in range(8):
+        p = str(tmp_path / f"p{i}.parquet")
+        pq.write_table(pa.table({"a": list(range(i + 1))}), p)
+        files.append((fs, p, os.path.getsize(p)))
+    got = sources._footers(files)
+    assert most[0] > 1
+    assert [md.num_rows for md in got] == list(range(1, 9))

@@ -9,6 +9,8 @@ a large input block count.
     python tools/scale_probe.py --keyed [--rows 20000] [--runs 1] [--num-cpus 2]
     python tools/scale_probe.py --dir DIR --parent-keys 1000000 [--rows 200000]
                                 [--runs 1] [--num-cpus 2]
+    python tools/scale_probe.py --dir DIR --rows 100000 --row-groups 8
+                                [--runs 1] [--num-cpus 2]
 
 Writes ``vald.corpus.write_corpus(DIR/corpus-n<rows>, rows)`` on the first
 call (later calls reuse it), then starts a Ray session with ``--num-cpus``
@@ -232,6 +234,42 @@ def large_parent(d: str, n_keys: int, rows: int, runs: int) -> None:
         )
 
 
+def row_groups(d: str, n: int, spec: dict, runs: int) -> None:
+    """The ``--row-groups`` probe (see the module docstring)."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from vald import pipeline, sources
+
+    one = os.path.join(d, f"one-rg{n}.parquet")
+    if not os.path.exists(one):
+        t = pq.read_table(os.path.join(d, "corpus"))
+        pq.write_table(t, one, row_group_size=-(-t.num_rows // n))
+    reads = {
+        "read_source": lambda: sources.read_source(one),
+        "read_parquet": lambda: ray.data.read_parquet(one),
+    }
+    last = {}
+
+    def once(name):
+        parent = ray.data.read_parquet(os.path.join(d, "repos.parquet"))
+        t0 = time.perf_counter()
+        res = pipeline.validate(reads[name](), spec, parents={"repos": parent})
+        v, x = res.verdicts_table(), res.violations_table()
+        last[name] = res
+        return time.perf_counter() - t0, digest(v) + "/" + digest(x)
+
+    for name in reads:  # warm-up: worker start and imports
+        once(name)
+    for i in range(runs):
+        for name in list(reads) if i % 2 == 0 else list(reversed(reads)):
+            wall, out = once(name)
+            print(f"run {i}: {name} of {n} row groups: {wall:.2f} s  digest {out}", flush=True)
+    for name, res in last.items():
+        for _, busy, line in operator_busy(res.combined.stats()):
+            print(f"{name}: {line}  [busy {busy:.2f} s]")
+
+
 def ray_table(ds):
     """A Dataset's rows as one Arrow table."""
     import pyarrow as pa
@@ -249,6 +287,7 @@ def main() -> None:
     ap.add_argument("--num-cpus", type=int, default=2)
     ap.add_argument("--dump")
     ap.add_argument("--parent-keys", type=int)
+    ap.add_argument("--row-groups", type=int)
     a = ap.parse_args()
     if not a.keyed and not a.dir:
         ap.error("--dir is required without --keyed")
@@ -280,6 +319,10 @@ def main() -> None:
         write_corpus(d, a.rows)
     files = sorted(glob.glob(os.path.join(d, "corpus", "*.parquet")))
     spec = {**CORPUS_SPEC, "checks": list(CORPUS_SPEC["checks"]) + (EXTRA_CHECKS if a.extra else [])}
+    if a.row_groups:
+        row_groups(d, a.row_groups, spec, a.runs)
+        ray.shutdown()
+        return
 
     def once():
         ds = sources.read_source(files, format="parquet")

@@ -19,9 +19,10 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import operator
 import os
-import posixpath
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +33,12 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.block import BlockAccessor, BlockMetadata
+from ray.data._internal.datasource.parquet_datasource import (
+    PARQUET_ENCODING_RATIO_ESTIMATE_DEFAULT,
+)
+from ray.data.block import BlockMetadata
 from ray.data.datasource import Datasource, ReadTask
+from ray.data.datasource.partitioning import Partitioning, PathPartitionParser
 
 __all__ = ["read_source", "jsonl_documents", "build_filter"]
 
@@ -145,8 +150,9 @@ class _Piece(NamedTuple):
 
     fs: pafs.FileSystem
     path: str
+    size: int  # of the file, from the listing (0: not known)
     row_groups: list[int]
-    partitions: dict[str, str]  # hive ``k=v`` directories of ``path``
+    partitions: dict[str, str]  # hive ``k=v`` directories the file has no column for
     num_rows: int
     nbytes: int  # uncompressed bytes of the columns read, from the footer
 
@@ -159,8 +165,11 @@ class ParquetFiles(Datasource):
     Each task carries its rows, bytes, files and the schema from the
     footers, so ``count()`` and ``schema()`` read no data, and reads
     its pieces with ``columns=`` and ``filter=`` pushed into the
-    fragment scan, so row-group statistics still skip I/O. The operator
-    is named ``ReadParquet``, as a ``ray.data.read_parquet`` read is."""
+    fragment scan, so row-group statistics still skip I/O. In-memory
+    sizes are the footers' uncompressed sizes times Ray's default
+    Parquet encoding ratio, the estimate ``read_parquet`` uses when it
+    does not sample the files. The operator is named ``ReadParquet``,
+    as a ``ray.data.read_parquet`` read is."""
 
     def __init__(self, pieces: list[_Piece], schema, columns, expr):
         self._pieces = pieces
@@ -168,18 +177,14 @@ class ParquetFiles(Datasource):
         self._columns = columns
         self._expr = expr
         # batches of about a tenth of a block, as read_parquet sizes them
-        rows = sum(p.num_rows for p in pieces)
         max_block = ray.data.DataContext.get_current().target_max_block_size
-        self._scan = {}
-        if rows and max_block:
-            per_row = max(1.0, self.estimate_inmemory_data_size() / rows)
-            self._scan = {"batch_size": max(1, int(max_block / 10 / per_row))}
+        self._batch_bytes = max_block // 10 if max_block else None
 
     def get_name(self) -> str:
         return "Parquet"
 
     def estimate_inmemory_data_size(self) -> int:
-        return sum(p.nbytes for p in self._pieces)
+        return sum(p.nbytes for p in self._pieces) * PARQUET_ENCODING_RATIO_ESTIMATE_DEFAULT
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         pieces = self._pieces
@@ -190,45 +195,75 @@ class ParquetFiles(Datasource):
             group = [pieces[i] for i in idx]
             meta = BlockMetadata(
                 num_rows=None if self._expr is not None else sum(p.num_rows for p in group),
-                size_bytes=sum(p.nbytes for p in group),
+                size_bytes=sum(p.nbytes for p in group) * PARQUET_ENCODING_RATIO_ESTIMATE_DEFAULT,
                 input_files=list(dict.fromkeys(p.path for p in group)),
                 exec_stats=None,
             )
             read = functools.partial(
-                _read_pieces, group, self._columns, self._expr, self._scan
+                _read_pieces, group, self._columns, self._expr, self._batch_bytes
             )
             tasks.append(ReadTask(read, meta, schema=self._schema))
         return tasks
 
 
-def _read_pieces(pieces: list[_Piece], columns, expr, scan: dict) -> Iterator[pa.Table]:
-    """The read task of ``ParquetFiles``: one fragment scan per file,
-    its hive partition values appended as string columns where the file
-    lacks them."""
+def _read_pieces(pieces: list[_Piece], columns, expr, batch_bytes) -> Iterator[pa.Table]:
+    """The read task of ``ParquetFiles``: one fragment scan per row
+    group, the file's hive partitions given to the scan as its
+    partition expression, so they fill their string columns and
+    ``expr`` may test them. Each scan's batch size is ``batch_bytes``
+    over the decoded bytes per row that the task's last batch measured,
+    the first scan's over the footer's bytes per row; a batch that
+    decodes to more than twice ``batch_bytes`` (a dictionary-encoded
+    column can decode to tens of times its footer size) is yielded in
+    slices of about ``batch_bytes``."""
     fmt = pads.ParquetFileFormat()
+    per_row = None
     for path, run in itertools.groupby(pieces, key=lambda p: p.path):
         run = list(run)
+        parts = run[0].partitions
         frag = fmt.make_fragment(
-            path, run[0].fs, row_groups=[g for p in run for g in p.row_groups]
+            path,
+            run[0].fs,
+            partition_expression=functools.reduce(
+                operator.and_, (pads.field(k) == v for k, v in parts.items()), pads.scalar(True)
+            ),
+            file_size=run[0].size or None,
         )
-        names = frag.physical_schema.names
-        parts = {
-            k: v
-            for k, v in run[0].partitions.items()
-            if k not in names and (columns is None or k in columns)
-        }
-        for batch in frag.to_batches(
-            columns=None if columns is None else [c for c in columns if c in names],
-            filter=expr,
-            use_threads=False,
-            **scan,
-        ):
-            if not batch.num_rows:
-                continue
-            t = pa.Table.from_batches([batch])
-            for k, v in parts.items():
-                t = BlockAccessor.for_block(t).fill_column(k, v)
-            yield t if columns is None else t.select(columns)
+        schema = frag.physical_schema
+        for k in parts:
+            schema = schema.append(pa.field(k, pa.string()))
+        cols = None if columns is None else [c for c in columns if c in schema.names]
+        for p in run:
+            for g in p.row_groups:
+                est = per_row or p.nbytes / max(1, p.num_rows)
+                scan = {"batch_size": max(1, int(batch_bytes / est))} if batch_bytes and est else {}
+                for batch in frag.subset(row_group_ids=[g]).to_batches(
+                    schema=schema, columns=cols, filter=expr, use_threads=False, **scan
+                ):
+                    if not batch.num_rows:
+                        continue
+                    per_row = batch.nbytes / batch.num_rows or per_row
+                    t = pa.Table.from_batches([batch])
+                    t = t if columns is None else t.select(columns)
+                    if batch_bytes and batch.nbytes > 2 * batch_bytes:
+                        step = -(-t.num_rows // -(-batch.nbytes // batch_bytes))
+                        yield from (t.slice(i, step) for i in range(0, t.num_rows, step))
+                    else:
+                        yield t
+
+
+def _footers(files: list) -> list:
+    """``pq.read_metadata`` of each of ``files``: in turn on a local
+    disk, and on a thread pool on any other filesystem, where each
+    footer read is a round trip to the store."""
+
+    def read(f):
+        return pq.read_metadata(f[1], filesystem=f[0])
+
+    if all(isinstance(fs, pafs.LocalFileSystem) for fs, _, _ in files):
+        return [read(f) for f in files]
+    with ThreadPoolExecutor() as pool:
+        return list(pool.map(read, files))
 
 
 def _read_parquet(paths: str | list[str], columns, expr) -> "ray.data.Dataset":
@@ -238,17 +273,15 @@ def _read_parquet(paths: str | list[str], columns, expr) -> "ray.data.Dataset":
     files = _list_files(paths)
     cpus = _cpus()
     by_row_group = len(files) < cpus
+    hive = PathPartitionParser(Partitioning("hive"))
     pieces, schema = [], None
-    for fs, path, _ in files:
-        md = pq.read_metadata(path, filesystem=fs)
-        # hive partitions, parsed as read_parquet's default partitioning does
-        dirs = posixpath.dirname(path).split("/")
-        parts = dict(d.split("=") for d in dirs if d.count("=") == 1)
+    for (fs, path, size), md in zip(files, _footers(files)):
+        file_schema = md.schema.to_arrow_schema()
+        parts = {k: v for k, v in hive(path).items() if k not in file_schema.names}
         if schema is None:  # the first file's, as read_parquet's
-            schema = md.schema.to_arrow_schema()
+            schema = file_schema
             for k in parts:
-                if k not in schema.names:
-                    schema = schema.append(pa.field(k, pa.string()))
+                schema = schema.append(pa.field(k, pa.string()))
             if columns is not None:
                 schema = pa.schema([schema.field(c) for c in columns], schema.metadata)
         n = md.num_row_groups
@@ -258,6 +291,7 @@ def _read_parquet(paths: str | list[str], columns, expr) -> "ray.data.Dataset":
                 _Piece(
                     fs,
                     path,
+                    size,
                     run,
                     parts,
                     sum(rg.num_rows for rg in rgs),
@@ -295,10 +329,14 @@ def read_source(
       statistics skip IO before decode. ``count()`` and ``schema()``
       come from the footers without reading data (``count()`` only
       without ``filter=``). Hive ``k=v`` directories add string
-      columns, as ``ray.data.read_parquet`` does. Files whose schemas
+      columns, as ``ray.data.read_parquet`` does, which ``filter=`` may
+      also test (``read_parquet`` rejects that). Files whose schemas
       differ behave as with ``read_parquet``: ``schema()`` is the first
       file's, and each file is read with its own schema, so its rows
-      keep the columns and types it has (Ray logs a schema change).
+      keep the columns and types it has (Ray logs a schema change), and
+      a ``filter=`` on a column one of the files lacks fails with
+      Arrow's ``No match for FieldRef`` error. The footers are read in
+      turn on a local disk and concurrently on any other filesystem.
     - jsonl / csv: Ray's readers. Full-row decode (inherent to the
       format), then an immediately-fused filter + ``select_columns`` so
       only matching rows / requested columns enter the object store.
