@@ -326,11 +326,8 @@ def test_parquet_columns_and_filter_match_read_parquet(ray_session, tmp_path, n_
     assert ds.schema().base_schema.equals(ref.schema().base_schema)
 
 
-@pytest.mark.parametrize("columns", [None, ["id", "lang"]])
-def test_parquet_hive_partitions_match_read_parquet(ray_session, tmp_path, columns):
-    """A hive-partitioned directory (``lang=py/``, ``lang=rs/``): the
-    partition value is a string column, with and without ``columns=``,
-    as ``ray.data.read_parquet`` gives it."""
+def _hive(tmp_path) -> str:
+    """``lang=py/`` and ``lang=rs/``, two files of 5 rows in each."""
     import pyarrow.parquet as pq
 
     for lang in ("py", "rs"):
@@ -338,9 +335,16 @@ def test_parquet_hive_partitions_match_read_parquet(ray_session, tmp_path, colum
         d.mkdir()
         for part in range(2):
             ids = [part * 10 + i for i in range(5)]
-            t = pa.table({"id": ids, "n": [len(lang)] * 5})
-            pq.write_table(t, str(d / f"p{part}.parquet"))
-    ds = read_source(str(tmp_path), columns=columns)
+            pq.write_table(pa.table({"id": ids, "n": [len(lang)] * 5}), str(d / f"p{part}.parquet"))
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("columns", [None, ["id", "lang"]])
+def test_parquet_hive_partitions_match_read_parquet(ray_session, tmp_path, columns):
+    """A hive-partitioned directory (``lang=py/``, ``lang=rs/``): the
+    partition value is a string column, with and without ``columns=``,
+    as ``ray.data.read_parquet`` gives it."""
+    ds = read_source(_hive(tmp_path), columns=columns)
     ref = ray.data.read_parquet(str(tmp_path), columns=columns)
     assert _rows(ds) == _rows(ref)
     assert {r["lang"] for r in ds.take_all()} == {"py", "rs"}
@@ -372,19 +376,6 @@ def test_parquet_files_of_different_schemas(ray_session, tmp_path):
     assert _rows(ds) == _rows(ref) == [
         (("a", 1), ("b", "x")), (("a", 2), ("b", "y")), (("a", 3), ("c", 1.5))
     ]
-
-
-def _hive(tmp_path) -> str:
-    """``lang=py/`` and ``lang=rs/``, two files of 5 rows in each."""
-    import pyarrow.parquet as pq
-
-    for lang in ("py", "rs"):
-        d = tmp_path / f"lang={lang}"
-        d.mkdir()
-        for part in range(2):
-            ids = [part * 10 + i for i in range(5)]
-            pq.write_table(pa.table({"id": ids, "n": [len(lang)] * 5}), str(d / f"p{part}.parquet"))
-    return str(tmp_path)
 
 
 def test_parquet_hive_partitions_with_filter(ray_session, tmp_path):
